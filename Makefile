@@ -28,8 +28,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Machine-readable before/after kernel timings (BENCH_PR2.json),
-# streaming throughput/memory figures (BENCH_PR3.json), the fused
-# sweep / cache / shared-memory report (BENCH_PR4.json), the cluster
+# streaming throughput/memory figures (BENCH_PR3.json), the cluster
 # scaling/overhead report (BENCH_PR9.json), and the adaptive
 # strategies report (BENCH_PR10.json).
 # BENCH_ARGS=--quick shrinks problem sizes for CI.

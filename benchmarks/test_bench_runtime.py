@@ -1,5 +1,5 @@
 """Benches for the trial runtime: backend dispatch, sharding overhead,
-checkpoint I/O.
+resume-record I/O.
 
 The container may expose a single CPU, so these benches measure and
 record throughput without asserting a parallel speedup; what they do
@@ -10,13 +10,13 @@ top of the timings.
 import numpy as np
 import pytest
 
+from repro.cache import ArtifactCache
 from repro.config import NGSTDatasetConfig
 from repro.data.ngst import generate_walk
 from repro.faults.campaign import Campaign
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
 from repro.runtime import (
-    CheckpointStore,
     ProcessPoolBackend,
     SerialBackend,
     TrialRuntime,
@@ -64,14 +64,18 @@ def test_bench_sharding_overhead(benchmark, reference_values):
 
 
 def test_bench_checkpoint_roundtrip(benchmark, tmp_path, reference_values):
-    """Cost of recording every shard plus a fully-restored re-run."""
-    store = CheckpointStore(tmp_path / "bench.jsonl")
-    TrialRuntime(checkpoint=store, shard_size=4).run(_trial, N_TRIALS, seed=11)
+    """Cost of recording every shard plus a fully-restored re-run from
+    a reopened disk store."""
+    TrialRuntime(
+        checkpoint="bench", cache=ArtifactCache(directory=tmp_path), shard_size=4
+    ).run(_trial, N_TRIALS, seed=11)
 
     def restored_run():
-        return TrialRuntime(checkpoint=store, shard_size=4).run(
-            _trial, N_TRIALS, seed=11
-        )
+        return TrialRuntime(
+            checkpoint="bench",
+            cache=ArtifactCache(directory=tmp_path),
+            shard_size=4,
+        ).run(_trial, N_TRIALS, seed=11)
 
     assert benchmark(restored_run) == reference_values
 

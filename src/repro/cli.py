@@ -7,9 +7,9 @@ Usage::
     repro all [--quick] [--json OUT.json]
     repro report [--quick] [--resume] [--plan] [--out REPORT.md]
     repro dag show [report|fig2] [--dot]
-    repro fig5 --resume [--checkpoint-dir DIR]
+    repro fig5 --resume [--cache-dir DIR]
     repro stream [--frames N] [--chunk-frames K] [--policy P] [--progress]
-    repro serve [--port P] [--control-port C] [--checkpoint-dir DIR]
+    repro serve [--port P] [--control-port C]
     repro fig2 --cache-dir .repro-cache   # persist artifacts across runs
     repro cache stats|clear [--cache-dir DIR]
     repro kernels [--json] [--require native]
@@ -23,11 +23,12 @@ seconds; default parameters match the EXPERIMENTS.md record.
 ``--jobs N`` runs each experiment's trial loops across N worker
 processes; results are bit-identical to a serial run because every
 trial's seed comes from the same ``SeedSequence`` spawn tree.
-``--resume`` records completed trial shards to a JSONL checkpoint
-(``--checkpoint-dir``, default ``.repro-checkpoints``) and, on re-run,
-skips the shards already recorded — an interrupted campaign picks up
-where it stopped.  ``--progress`` prints per-shard telemetry (timing,
-trials/sec) to stderr.  See docs/RUNTIME.md.
+``--resume`` records completed trial shards in the artifact store
+(``--cache-dir``, default ``.repro-cache`` — the store ``repro report``
+recovers from) and, on re-run, restores the shards already recorded —
+an interrupted campaign picks up where it stopped.  ``--progress``
+prints per-shard telemetry (timing, trials/sec) to stderr.  See
+docs/RUNTIME.md.
 
 ``repro stream`` runs the bounded-memory streaming pipeline instead of
 a batch experiment; its flags live in :mod:`repro.stream.cli` and its
@@ -51,7 +52,6 @@ from repro.exceptions import ReproError
 from repro.experiments.registry import REGISTRY, run_experiment
 from repro.runtime import (
     BACKEND_CHOICES,
-    CheckpointStore,
     ProgressPrinter,
     Telemetry,
     TrialRuntime,
@@ -105,13 +105,13 @@ _STRATEGY_EXPERIMENTS = frozenset({"fig2", "fig4"})
 
 
 def probe_writable(directory: Path) -> str | None:
-    """Check that *directory* can hold checkpoint files.
+    """Check that *directory* can hold store or checkpoint files.
 
     Creates the directory (with parents) if needed and verifies a file
     can be opened for writing inside it.  Returns a one-line problem
     description, or ``None`` when the directory is usable — the CLI
     turns the former into a clean exit instead of a traceback from deep
-    inside a checkpoint write.
+    inside a write.
     """
     probe = directory / ".write-probe"
     try:
@@ -212,15 +212,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="checkpoint completed trial shards and skip the ones already "
-        "recorded from a previous (possibly interrupted) run",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=".repro-checkpoints",
-        help="where --resume stores per-experiment JSONL checkpoints "
-        "(default: %(default)s)",
+        help="record completed trial shards in the artifact store "
+        "(--cache-dir, default .repro-cache) and restore the ones already "
+        "recorded by a previous (possibly interrupted) run",
     )
     parser.add_argument(
         "--progress",
@@ -242,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="persist the artifact cache's disk tier here, so pristine "
         "datasets and fault realizations survive across invocations "
-        "(default: in-memory cache only; see 'repro cache')",
+        "(default: .repro-cache with --resume, else in-memory cache "
+        "only; see 'repro cache')",
     )
     args = parser.parse_args(argv)
 
@@ -256,11 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         print("--threads and --jobs are mutually exclusive", file=sys.stderr)
         return 2
 
-    if args.resume:
-        problem = probe_writable(Path(args.checkpoint_dir))
-        if problem:
-            print(problem, file=sys.stderr)
-            return 2
+    if args.resume and args.cache_dir is None:
+        args.cache_dir = ".repro-cache"
 
     if args.cache_dir is not None:
         problem = probe_writable(Path(args.cache_dir))
@@ -341,27 +333,26 @@ def main(argv: list[str] | None = None) -> int:
 def _build_runtime(
     args: argparse.Namespace, experiment_id: str, backend
 ) -> TrialRuntime:
-    """One runtime per experiment: fresh auto-key sequence, own checkpoint.
+    """One runtime per experiment: fresh auto-key sequence, own scope.
 
-    A per-experiment checkpoint file keyed by the runtime's
-    deterministic call sequence means a resumed run re-derives the same
-    keys in the same order and the recorded shards line up.  The
-    *backend* is shared across experiments — a cluster backend keeps
-    its worker connections (and the workers their warm caches) for the
-    whole invocation.
+    With ``--resume`` the experiment id scopes the runtime's shard
+    records in the artifact store; keyed by the runtime's deterministic
+    call sequence, a resumed run re-derives the same keys in the same
+    order and the recorded shards line up.  The *backend* is shared
+    across experiments — a cluster backend keeps its worker
+    connections (and the workers their warm caches) for the whole
+    invocation.
     """
-    checkpoint = None
-    if args.resume:
-        checkpoint = CheckpointStore(
-            Path(args.checkpoint_dir) / f"{experiment_id}.jsonl"
-        )
     telemetry = None
     if args.progress:
         telemetry = Telemetry()
         telemetry.subscribe(ProgressPrinter())
     cache = ArtifactCache(directory=args.cache_dir)
     return TrialRuntime(
-        backend=backend, checkpoint=checkpoint, telemetry=telemetry, cache=cache
+        backend=backend,
+        checkpoint=experiment_id if args.resume else None,
+        telemetry=telemetry,
+        cache=cache,
     )
 
 

@@ -152,9 +152,6 @@ class ClusterBackend(Executor):
             worker raises instead of running degraded on the rest.
     """
 
-    crosses_process_boundary = True
-    ships_artifacts = True
-
     def __init__(
         self,
         workers: str | Sequence,
@@ -201,8 +198,8 @@ class ClusterBackend(Executor):
     def bind_artifact_source(self, cache: ArtifactCache | None) -> None:
         """Attach the store worker pulls are served from.
 
-        The trial runtime and DAG scheduler call this with their own
-        artifact cache before dispatching, which is what turns "ship
+        The DAG scheduler calls this with its own artifact cache
+        before dispatching, which is what turns "ship
         the arrays" into "ship the key".
         """
         self._artifact_source = cache
@@ -444,12 +441,7 @@ class ClusterBackend(Executor):
         index = int(header["shard_index"])
         if index in yielded:
             return None  # duplicate after re-dispatch; first wins
-        out = shipping.loads(blobs[0])
-        meta = None
-        if isinstance(out, tuple):
-            values, meta = out
-        else:
-            values = out
+        values = shipping.loads(blobs[0])
         stats = header.get("stats") or {}
         link.stats.shards += 1
         link.stats.elapsed_s += float(header.get("elapsed_s", 0.0))
@@ -461,7 +453,6 @@ class ClusterBackend(Executor):
             index=index,
             values=list(values),
             elapsed_s=float(header.get("elapsed_s", 0.0)),
-            meta=meta,
         )
 
     def _reap_dead(self, pending: list[Shard]) -> list[Shard]:

@@ -1,7 +1,7 @@
 """Ship work by value: pickling that carries lambdas and closures.
 
 Campaign shard functions are closures over experiment configuration —
-arm lambdas, dataset builders, fused groups — that the standard
+arm lambdas, dataset builders, graph nodes — that the standard
 library pickler refuses (it serialises functions by qualified-name
 reference only).  Inside one box the process-pool backend dodges this
 with fork inheritance; a TCP boundary has no such trick, so this

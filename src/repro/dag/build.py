@@ -1,20 +1,20 @@
 """Graph builders: campaign sweeps as dataset→fault→score→aggregate DAGs.
 
-These helpers turn the declarative fusion vocabulary
-(:class:`~repro.runtime.DatasetSpec` / :class:`~repro.runtime.FaultSpec`
-/ :class:`~repro.runtime.Arm`) into :class:`~repro.dag.TaskNode`
-subgraphs that replay the canonical trial protocol *exactly*:
+This module holds the declarative sweep vocabulary —
+:class:`DatasetSpec` / :class:`FaultSpec` / :class:`Arm` and the two
+artifact key functions :func:`pristine_key` / :func:`realization_key` —
+and turns it into :class:`~repro.dag.TaskNode` subgraphs that replay
+the canonical trial protocol *exactly*:
 
 * the dataset node builds from ``default_rng(trial_seed)`` and stores
-  the post-generation RNG state, under the **same**
-  ``pristine``/``realization`` content keys the fused
-  :class:`~repro.runtime.ArtifactPipeline` uses — DAG and fused runs
-  share one artifact namespace, so either can warm the other;
+  the post-generation RNG state under its ``pristine`` content key;
 * the fault node restores that captured state before drawing the
-  injector seed, keeping hits and misses on identical streams;
+  injector seed, keeping hits and misses on identical streams, and
+  stores the corrupted array under its ``realization`` content key;
 * score nodes are pure arm evaluations; the aggregate node stacks
   per-trial values per arm, from which means come out bit-identical
-  to the fused/unfused paths.
+  to running each arm as its own :class:`~repro.runtime.TrialRuntime`
+  plan.
 
 Trial seeds come from ``SeedSequence(seed).spawn(n_trials)`` — the
 same spawn tree as :class:`~repro.runtime.TrialPlan` — so a graph run
@@ -24,16 +24,87 @@ is bit-identical to the trial-loop run it replaces.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.fingerprint import fingerprint
 from repro.cache.store import CachedArtifact
 from repro.dag.graph import TaskGraph
 from repro.dag.node import TaskContext, TaskNode
 from repro.exceptions import ConfigurationError
 from repro.faults.injector import FaultInjector, derive_injector_seed
-from repro.runtime.fusion import Arm, ArtifactPipeline, DatasetSpec, FaultSpec
+
+#: An arm evaluator: ``(corrupted, pristine) -> float | list of floats``.
+ArmFn = Callable[[np.ndarray, np.ndarray], object]
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Declarative pristine-dataset production.
+
+    Attributes:
+        build: ``rng -> pristine array``; must be a deterministic
+            function of its configuration and the generator stream.
+        key_parts: canonical identity of the generator configuration
+            (dataclasses/tuples/scalars — see
+            :func:`repro.cache.fingerprint.canonicalize`).  Every field
+            that changes the output must be represented here.
+    """
+
+    build: Callable[[np.random.Generator], np.ndarray]
+    key_parts: tuple
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """Declarative fault-realization production.
+
+    Attributes:
+        model: any object with ``corrupt(data, rng)``.
+        key_parts: canonical identity of the fault parameters.
+    """
+
+    model: object
+    key_parts: tuple
+
+    @classmethod
+    def of(cls, model) -> "FaultSpec":
+        """Derive the spec from a model exposing ``cache_key_parts()``."""
+        parts = getattr(model, "cache_key_parts", None)
+        if parts is None:
+            raise ConfigurationError(
+                f"{type(model).__name__} does not expose cache_key_parts(); "
+                "construct FaultSpec with explicit key_parts instead"
+            )
+        return cls(model=model, key_parts=tuple(parts()))
+
+
+@dataclass(frozen=True)
+class Arm:
+    """One preprocessing arm evaluated against a trial's shared artifacts.
+
+    Attributes:
+        name: unique label within its sweep (also the result key).
+        evaluate: pure ``(corrupted, pristine) -> value`` — no RNG, no
+            mutation of the read-only inputs.
+    """
+
+    name: str
+    evaluate: ArmFn
+
+
+def pristine_key(dataset: DatasetSpec, seed: np.random.SeedSequence) -> str:
+    """Content key of one trial's pristine dataset."""
+    return fingerprint("pristine", dataset.key_parts, seed)
+
+
+def realization_key(
+    dataset: DatasetSpec, fault: FaultSpec, seed: np.random.SeedSequence
+) -> str:
+    """Content key of one trial's corrupted fault realization."""
+    return fingerprint("realization", dataset.key_parts, fault.key_parts, seed)
 
 
 def _dataset_run(dataset: DatasetSpec):
@@ -61,42 +132,43 @@ def _fault_run(fault: FaultSpec, dataset_node: str):
 
 def add_pipeline_nodes(
     graph: TaskGraph,
-    pipeline: ArtifactPipeline,
+    dataset: DatasetSpec,
+    fault: FaultSpec | None,
     trial_seed: np.random.SeedSequence,
 ) -> tuple[str, str]:
     """Add one trial's dataset (and fault) nodes; idempotent.
 
     Returns ``(dataset_node, corrupted_node)`` — the same name twice
-    when the pipeline has no fault spec (arms then score the pristine
-    array, matching :meth:`ArtifactPipeline.produce`).  Node names are
-    prefixes of the artifact content keys, so two figures sharing a
-    (config, seed) trial share one node via :meth:`TaskGraph.ensure`.
+    when *fault* is None (arms then score the pristine array).  Node
+    names are prefixes of the artifact content keys, so two figures
+    sharing a (config, seed) trial share one node via
+    :meth:`TaskGraph.ensure`.
     """
-    pristine_key = pipeline.pristine_key(trial_seed)
-    dataset_node = f"dataset/{pristine_key[:12]}"
+    dataset_key = pristine_key(dataset, trial_seed)
+    dataset_node = f"dataset/{dataset_key[:12]}"
     graph.ensure(
         TaskNode(
             name=dataset_node,
             kind="dataset",
-            run=_dataset_run(pipeline.dataset),
-            key_parts=("pristine", pipeline.dataset.key_parts),
+            run=_dataset_run(dataset),
+            key_parts=("pristine", dataset.key_parts),
             seed=trial_seed,
-            explicit_key=pristine_key,
+            explicit_key=dataset_key,
         )
     )
-    if pipeline.fault is None:
+    if fault is None:
         return dataset_node, dataset_node
-    realization_key = pipeline.realization_key(trial_seed)
-    fault_node = f"fault/{realization_key[:12]}"
+    fault_key = realization_key(dataset, fault, trial_seed)
+    fault_node = f"fault/{fault_key[:12]}"
     graph.ensure(
         TaskNode(
             name=fault_node,
             kind="fault",
-            run=_fault_run(pipeline.fault, dataset_node),
+            run=_fault_run(fault, dataset_node),
             inputs=(dataset_node,),
-            key_parts=("realization", pipeline.fault.key_parts),
+            key_parts=("realization", fault.key_parts),
             seed=trial_seed,
-            explicit_key=realization_key,
+            explicit_key=fault_key,
         )
     )
     return dataset_node, fault_node
@@ -146,8 +218,8 @@ def add_arm_sweep(
 ) -> str:
     """Add a full averaged-arm sweep subgraph; returns its aggregate node.
 
-    One dataset + fault node pair per trial (shared across arms — the
-    explicit point of the DAG, as of fusion before it), one pure score
+    One dataset + fault node pair per trial (shared across arms, so
+    generation and injection run once per trial), one pure score
     node per (trial, arm), and one aggregate node stacking each arm's
     per-trial values.  *fault* may be a :class:`FaultSpec`, a bare
     fault model exposing ``cache_key_parts()``, or None for pristine
@@ -163,12 +235,11 @@ def add_arm_sweep(
         )
     if fault is not None and not isinstance(fault, FaultSpec):
         fault = FaultSpec.of(fault)
-    pipeline = ArtifactPipeline(dataset=dataset, fault=fault)
     trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
     score_nodes: dict[str, list[str]] = {name: [] for name in names}
     for trial, trial_seed in enumerate(trial_seeds):
         dataset_node, corrupted_node = add_pipeline_nodes(
-            graph, pipeline, trial_seed
+            graph, dataset, fault, trial_seed
         )
         inputs = (
             (dataset_node,)

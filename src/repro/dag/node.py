@@ -9,7 +9,7 @@ pure run function that maps the dependency artifacts to one output
 that invariant is what makes a killed campaign recoverable purely from
 the filesystem (see :mod:`repro.dag.scheduler`).
 
-Run functions must be *pure* in the same sense as fused arms: the
+Run functions must be *pure* in the same sense as sweep arms: the
 output must be a deterministic function of the input artifacts, the
 node's key parts, and its declared seed.  Anything else that changes
 the output must be folded into ``key_parts``, or a stale artifact will
@@ -98,9 +98,9 @@ class TaskNode:
         seed: the node's ``SeedSequence`` entropy when the run function
             draws randomness; None for pure transforms.
         explicit_key: fixed output content key, overriding derivation.
-            The dataset/fault builders use this to store under the same
-            ``pristine``/``realization`` keys as the fused pipeline, so
-            DAG and fused runs share one artifact namespace.
+            The dataset/fault builders use this to store under the
+            ``pristine``/``realization`` keys, so every graph sharing a
+            (config, seed) trial shares its artifacts.
     """
 
     name: str

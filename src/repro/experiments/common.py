@@ -13,7 +13,9 @@ from repro.cache import ArtifactCache
 from repro.config import NGSTConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
 from repro.dag import (
+    Arm,
     DagScheduler,
+    DatasetSpec,
     TaskGraph,
     TaskNode,
     add_arm_sweep,
@@ -23,7 +25,7 @@ from repro.dag import (
 from repro.data.ngst import generate_walk
 from repro.exceptions import ConfigurationError
 from repro.metrics.relative_error import psi
-from repro.runtime import Arm, DatasetSpec, TrialRuntime
+from repro.runtime import TrialRuntime
 
 
 @dataclass
@@ -134,7 +136,7 @@ def averaged(
 
     Delegates the repeat loop to :class:`repro.runtime.TrialRuntime`,
     so passing a runtime with a process-pool backend parallelises the
-    repeats (and one with a checkpoint store makes them resumable)
+    repeats (and one with a checkpoint scope makes them resumable)
     without changing the result: per-repeat seeds are the
     ``SeedSequence.spawn`` children of *seed* on every backend.
     """
@@ -186,13 +188,12 @@ def averaged_arms(
     therefore the means — are bit-identical to the per-arm
     :func:`averaged` calls, because the dataset/fault nodes replay the
     canonical trial protocol exactly (same ``SeedSequence`` children,
-    same captured-RNG-state handoff, same artifact content keys as the
-    fused pipeline).
+    same captured-RNG-state handoff).
 
     Args:
         arms: the arms to evaluate; names key the returned dict.
         dataset: pristine-dataset spec (see :func:`walk_dataset`).
-        fault: a :class:`~repro.runtime.FaultSpec`, a fault model
+        fault: a :class:`~repro.dag.FaultSpec`, a fault model
             exposing ``cache_key_parts()``, or None to run arms on
             pristine data.
         n_repeats: trials per arm (>= 1).

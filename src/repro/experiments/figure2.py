@@ -10,9 +10,8 @@ The whole figure is one task graph (:func:`graph`): per trial, the
 pristine walk and each Γ₀ point's fault realization are nodes whose
 output artifacts every arm's score node shares, aggregates reduce each
 grid point, and a figure node assembles the final table.  Values are
-bit-identical to the historical per-arm loops, the artifacts carry the
-same content keys as the fused pipeline, and a killed run resumes from
-the artifact store (see :mod:`repro.dag`).
+bit-identical to the historical per-arm loops, and a killed run resumes
+from the artifact store (see :mod:`repro.dag`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.baselines.median import median_smooth_temporal
 from repro.config import NGSTConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
 from repro.core.strategies import strategy_arm_config
-from repro.dag import TaskGraph, add_arm_sweep
+from repro.dag import Arm, TaskGraph, add_arm_sweep
 from repro.experiments.common import (
     DEFAULT_GAMMA0_GRID,
     ExperimentResult,
@@ -33,7 +32,7 @@ from repro.experiments.common import (
 )
 from repro.faults.uncorrelated import UncorrelatedFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import Arm, TrialRuntime
+from repro.runtime import TrialRuntime
 
 #: The table node every fig2 graph ends in.
 TABLE_NODE = "fig2/table"

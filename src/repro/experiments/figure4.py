@@ -21,7 +21,7 @@ from repro.baselines.median import median_smooth_temporal
 from repro.config import CorrelatedFaultConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
 from repro.core.strategies import strategy_arm_config
-from repro.dag import TaskGraph, add_arm_sweep
+from repro.dag import Arm, TaskGraph, add_arm_sweep
 from repro.experiments.common import (
     DEFAULT_LAMBDA_GRID,
     ExperimentResult,
@@ -32,7 +32,7 @@ from repro.experiments.common import (
 )
 from repro.faults.correlated import CorrelatedFaultModel
 from repro.metrics.relative_error import psi
-from repro.runtime import Arm, TrialRuntime
+from repro.runtime import TrialRuntime
 
 DEFAULT_GAMMA_INI_GRID = (0.005, 0.01, 0.025, 0.05, 0.1, 0.15, 0.2)
 

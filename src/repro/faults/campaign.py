@@ -11,12 +11,11 @@ The trial loop itself is delegated to
 :class:`repro.runtime.TrialRuntime`: trial seeds are the
 ``SeedSequence.spawn`` children of the campaign seed regardless of
 backend or sharding, so a campaign run across a process pool — or
-killed and resumed from a checkpoint — produces bit-identical values
-to a serial run.  Multi-arm comparisons (:meth:`Campaign.run_arms`)
+killed and resumed from its recorded shards — produces bit-identical
+values to a serial run.  Multi-arm comparisons (:meth:`Campaign.run_arms`)
 additionally emit a dataset → fault → score → aggregate task graph
 (:meth:`Campaign.graph`) scheduled by :class:`repro.dag.DagScheduler`,
-whose completed-work state lives in the artifact store rather than a
-checkpoint file.
+whose completed-work state lives in the artifact store.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.runtime import Arm, DatasetSpec, FaultSpec, TrialRuntime
+from repro.runtime import TrialRuntime
 
 #: z-scores for the supported confidence levels.
 _Z_SCORES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -144,9 +143,10 @@ class Campaign:
             runtime: execution runtime; a serial
                 :class:`~repro.runtime.TrialRuntime` when omitted.
                 Pass one with a :class:`~repro.runtime.ProcessPoolBackend`
-                to parallelise, or with a checkpoint store to make the
-                campaign resumable — the summary is identical either way.
-            key: checkpoint identity for this run (see
+                to parallelise, or with a checkpoint scope and cache to
+                make the campaign resumable — the summary is identical
+                either way.
+            key: resume identity for this run (see
                 :meth:`TrialRuntime.run`).
         """
         if n_trials < 1:
@@ -172,7 +172,13 @@ class Campaign:
         several campaigns into one run (or render it with
         ``repro dag show``) can build it directly.
         """
-        from repro.dag import TaskGraph, add_arm_sweep
+        from repro.dag import (
+            Arm,
+            DatasetSpec,
+            FaultSpec,
+            TaskGraph,
+            add_arm_sweep,
+        )
 
         if n_trials < 1:
             raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
@@ -222,7 +228,7 @@ class Campaign:
         it on the runtime's backend: generation and injection run
         **once per trial** and every arm scores the same
         corrupted/pristine pair, so each summary is bit-identical to
-        the corresponding unfused :meth:`run` — at roughly
+        the corresponding single-arm :meth:`run` — at roughly
         ``1/len(arms)`` the production cost, less again when the
         runtime carries a warm artifact cache.
 

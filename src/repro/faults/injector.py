@@ -37,10 +37,10 @@ def derive_injector_seed(rng: np.random.Generator) -> int:
 
     Every experiment derives its :class:`FaultInjector` seed with
     exactly this protocol — a single ``integers(2**31)`` draw from the
-    trial's generator, taken *after* dataset generation — and the fused
-    scheduler (:mod:`repro.runtime.fusion`) replays the same draw from
-    the same stream position, which is what makes fused and unfused
-    campaigns bit-identical.
+    trial's generator, taken *after* dataset generation — and the DAG
+    fault nodes (:mod:`repro.dag.build`) replay the same draw from the
+    same stream position, which is what makes graph-scheduled sweeps
+    and per-arm trial loops bit-identical.
     """
     return int(rng.integers(2**31))
 

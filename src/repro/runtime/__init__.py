@@ -1,25 +1,24 @@
 """Parallel campaign execution runtime: sharded trials, pluggable
-serial/process-pool backends, JSONL checkpointing, and telemetry.
+serial/thread/process backends, store-backed resume, and telemetry.
 
 The paper's evaluation averages every data point over many
 independently seeded trials (Figure 5 uses 100 datasets per point).
 This subsystem makes that loop a scheduling problem: a
 :class:`TrialPlan` derives per-trial seeds via
 ``SeedSequence.spawn`` and splits them into shards, an
-:class:`Executor` backend runs the shards (in-process or across a
-process pool), a :class:`CheckpointStore` records completions so an
-interrupted campaign resumes where it stopped, and a
+:class:`Executor` backend runs the shards (in-process, across threads,
+across a process pool, or across cluster workers), completed shards
+are recorded in the runtime's :class:`~repro.cache.ArtifactCache` so
+an interrupted campaign resumes where it stopped, and a
 :class:`Telemetry` hub reports per-shard timing and throughput.
 Results are bit-identical across backends, shard sizes, and
 interrupt/resume cycles.
 
-Multi-arm sweeps additionally go through the **plan-fusion pass**
-(:mod:`repro.runtime.fusion`): arm plans sharing a (dataset,
-fault-realization) fingerprint fuse into one schedule whose artifacts
-are produced once per trial, served through a content-addressed
-:class:`~repro.cache.ArtifactCache`, and broadcast zero-copy to pool
-workers over shared memory — still bit-identical to the per-arm
-unfused plans.
+Multi-arm sweeps do not run here directly: they are task graphs
+(:func:`repro.dag.add_arm_sweep`) scheduled by
+:class:`repro.dag.DagScheduler` on the same :class:`Executor` seam, so
+generation and injection run once per trial and every arm scores the
+same artifacts.
 """
 
 from repro.runtime.backend import (
@@ -32,20 +31,9 @@ from repro.runtime.backend import (
     default_start_method,
     resolve_backend,
 )
-from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.executor import TrialRuntime
-from repro.runtime.fusion import (
-    Arm,
-    ArmRequest,
-    ArtifactPipeline,
-    DatasetSpec,
-    FaultSpec,
-    FusedGroup,
-    fuse,
-)
 from repro.runtime.plan import Shard, TrialPlan, default_shard_size
 from repro.runtime.telemetry import (
-    CacheSnapshot,
     DagCompleted,
     DagStarted,
     NodeCompleted,
@@ -57,18 +45,10 @@ from repro.runtime.telemetry import (
 )
 
 __all__ = [
-    "Arm",
-    "ArmRequest",
-    "ArtifactPipeline",
     "BACKEND_CHOICES",
-    "CacheSnapshot",
-    "CheckpointStore",
     "DagCompleted",
     "DagStarted",
-    "DatasetSpec",
     "Executor",
-    "FaultSpec",
-    "FusedGroup",
     "NodeCompleted",
     "ProcessPoolBackend",
     "ProgressPrinter",
@@ -84,6 +64,5 @@ __all__ = [
     "TrialRuntime",
     "default_shard_size",
     "default_start_method",
-    "fuse",
     "resolve_backend",
 ]

@@ -2,12 +2,12 @@
 
 The runtime emits one :class:`RunStarted` per ``TrialRuntime.run``
 call, one :class:`ShardCompleted` per shard (including shards restored
-from a checkpoint, flagged ``from_checkpoint``), and one
+from a resume record, flagged ``from_checkpoint``), and one
 :class:`RunCompleted` at the end.  The DAG scheduler
 (:mod:`repro.dag`) emits the parallel family :class:`DagStarted` /
 :class:`NodeCompleted` / :class:`DagCompleted`, where restoration is
-flagged per node (``from_store``) because completed work is detected
-from the artifact store rather than a checkpoint file.  Experiments,
+flagged per node (``from_store``) because a node's recovery unit is
+its output artifact rather than a shard of trials.  Experiments,
 the CLI, tests and benchmarks subscribe callbacks on a
 :class:`Telemetry` hub; :class:`ProgressPrinter` is the stock
 subscriber that renders events as one-line progress messages.
@@ -83,41 +83,6 @@ class RunCompleted:
 
 
 @dataclass(frozen=True)
-class CacheSnapshot:
-    """Emitted after a fused run when an artifact cache is attached.
-
-    Counters are cumulative over the cache's lifetime (one cache often
-    serves every grid point of a sweep), sampled at run completion.
-
-    Attributes:
-        key: the run's checkpoint key.
-        hits: lookups served from any cache tier so far.
-        misses: lookups that produced artifacts from scratch.
-        hit_rate: hits / (hits + misses); 0.0 before any lookup.
-        bytes_saved: payload bytes served from cache instead of being
-            regenerated.
-        overlay_hits: hits served by a shared-memory broadcast overlay.
-        memory_hits: hits served by the in-process LRU tier.
-        disk_hits: hits served by the on-disk tier.
-        memory_bytes: bytes currently held in the LRU tier.
-        broadcast_bytes: bytes broadcast to workers over shared memory
-            for this run (0 when nothing was warm or the run was
-            in-process).
-    """
-
-    key: str
-    hits: int
-    misses: int
-    hit_rate: float
-    bytes_saved: int
-    overlay_hits: int
-    memory_hits: int
-    disk_hits: int
-    memory_bytes: int
-    broadcast_bytes: int
-
-
-@dataclass(frozen=True)
 class DagStarted:
     """Emitted when a DAG run begins, after the recovery survey.
 
@@ -183,7 +148,6 @@ TelemetryEvent = Union[
     RunStarted,
     ShardCompleted,
     RunCompleted,
-    CacheSnapshot,
     DagStarted,
     NodeCompleted,
     DagCompleted,
@@ -248,17 +212,6 @@ class ProgressPrinter:
                 f"[{event.key}] shard {event.shard_index}: "
                 f"{event.n_trials} trial(s) in {event.elapsed_s:.3f}s "
                 f"({event.trials_per_sec:.1f} trials/s)"
-            )
-        if isinstance(event, CacheSnapshot):
-            broadcast = (
-                f", {event.broadcast_bytes / 1e6:.1f} MB broadcast"
-                if event.broadcast_bytes
-                else ""
-            )
-            return (
-                f"[{event.key}] cache: {event.hits} hit(s), "
-                f"{event.misses} miss(es) ({event.hit_rate:.0%} hit rate), "
-                f"{event.bytes_saved / 1e6:.1f} MB saved{broadcast}"
             )
         if isinstance(event, DagStarted):
             suffix = (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ServeError
-from repro.serve.listener import decode_frames, encode_frames
+from repro.serve.listener import MAX_LINE_BYTES, decode_frames, encode_frames
 
 
 @dataclass
@@ -135,7 +135,11 @@ class StreamClient:
 
     async def _run_once(self) -> bool:
         """One connection's worth of progress; True when the stream is done."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        # The server sends lines up to MAX_LINE_BYTES; asyncio's default
+        # 64 KiB reader limit would fail on any ack carrying more output.
+        reader, writer = await asyncio.open_connection(
+            self.host, self.port, limit=MAX_LINE_BYTES
+        )
         try:
             hello = {
                 "type": "hello",

@@ -62,14 +62,6 @@ class TestClusterBackend:
             )
         assert [r.values for r in results] == [[0], [3], [6], [9]]
 
-    def test_meta_tuples_travel(self, worker):
-        shards = [Shard(index=0, start=0, stop=1, seeds=(1,))]
-        with _backend(worker) as backend:
-            (result,) = list(
-                backend.run_shards(lambda s: ([1.0], {"tag": "x"}), shards)
-            )
-        assert result.meta == {"tag": "x"}
-
     def test_function_blob_sent_once_per_connection(self, worker):
         shards = [Shard(index=i, start=i, stop=i + 1, seeds=(i,)) for i in range(6)]
 
@@ -225,7 +217,7 @@ class TestResolveBackend:
     def test_cluster_resolves(self):
         backend = resolve_backend("cluster", workers="127.0.0.1:9999")
         assert isinstance(backend, ClusterBackend)
-        assert backend.ships_artifacts and backend.crosses_process_boundary
+        assert backend.jobs == 1
 
     def test_workers_without_cluster_rejected(self):
         with pytest.raises(ConfigurationError, match="only applies"):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -85,20 +86,70 @@ class TestRuntimeFlags:
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
     def test_resume_writes_and_reuses_checkpoints(self, tmp_path, capsys):
-        ckpt_dir = tmp_path / "ckpts"
+        store = tmp_path / "store"
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
-        args = ["fig5", "--quick", "--resume", "--checkpoint-dir", str(ckpt_dir)]
+        args = ["fig5", "--quick", "--resume", "--cache-dir", str(store)]
         assert main(args + ["--json", str(first)]) == 0
-        ckpt_path = ckpt_dir / "fig5.jsonl"
-        assert ckpt_path.exists()
-        recorded = ckpt_path.read_text()
-        # Second run restores every shard: the checkpoint grows by
-        # nothing and the output is unchanged.
-        assert main(args + ["--json", str(second)]) == 0
-        capsys.readouterr()
-        assert ckpt_path.read_text() == recorded
+        recorded = sorted(path.name for path in store.iterdir())
+        assert recorded
+        assert not list(tmp_path.rglob("*.jsonl"))
+        # Second run restores every shard: the store gains nothing and
+        # the output is unchanged.
+        assert main(args + ["--json", str(second), "--progress"]) == 0
+        captured = capsys.readouterr()
+        assert sorted(path.name for path in store.iterdir()) == recorded
         assert first.read_bytes() == second.read_bytes()
+        assert "restored from checkpoint" in captured.err
+        assert re.search(r"; [1-9]\d* shard\(s\) run", captured.err) is None
+
+    def test_interrupted_resume_is_byte_identical(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Kill fig5 partway (a trial raises), re-run: finished shards
+        come back from the store and every output byte matches."""
+        import repro.experiments.figure5 as figure5
+
+        clean_json = tmp_path / "clean.json"
+        assert main(["fig5", "--quick", "--json", str(clean_json)]) == 0
+        clean_out = capsys.readouterr().out
+
+        store = tmp_path / "store"
+        resumed_json = tmp_path / "resumed.json"
+        args = ["fig5", "--quick", "--resume", "--cache-dir", str(store)]
+        real = figure5.gamut_dataset
+        calls = {"n": 0}
+
+        def crashing(*a, **kw):
+            calls["n"] += 1
+            if calls["n"] > 7:
+                raise RuntimeError("simulated crash")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(figure5, "gamut_dataset", crashing)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            main(args + ["--json", str(resumed_json)])
+        monkeypatch.setattr(figure5, "gamut_dataset", real)
+        capsys.readouterr()
+
+        assert main(args + ["--json", str(resumed_json), "--progress"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("restored from checkpoint") == 7
+        assert resumed_json.read_bytes() == clean_json.read_bytes()
+        tables = lambda out: out.rsplit("wrote ", 1)[0]  # noqa: E731
+        assert tables(captured.out) == tables(clean_out)
+        assert not list(tmp_path.rglob("*.jsonl"))
+
+    def test_resume_defaults_to_the_report_store(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig5", "--quick", "--resume"]) == 0
+        capsys.readouterr()
+        assert any((tmp_path / ".repro-cache").glob("*.npz"))
+
+    def test_checkpoint_dir_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig5", "--quick", "--resume", "--checkpoint-dir", "x"])
+        assert "--checkpoint-dir" in capsys.readouterr().err
 
     def test_progress_prints_telemetry_to_stderr(self, tmp_path, capsys):
         assert main(["fig5", "--quick", "--progress"]) == 0

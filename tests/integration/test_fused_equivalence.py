@@ -1,10 +1,13 @@
-"""End-to-end bit-identity of fused + cached + shared-memory execution.
+"""End-to-end bit-identity of graph-scheduled multi-arm sweeps.
 
-The contract the whole PR rests on: for every backend, worker count,
-and cache temperature (none / cold / warm / disk-backed), a fused
-multi-arm run returns **bit-identical** values (``tobytes`` equality of
-the float payloads via exact ``==``) to running each arm as its own
-unfused serial plan with the canonical trial protocol.
+A multi-arm sweep (:func:`repro.dag.add_arm_sweep`) fuses its arms onto
+one dataset + fault node pair per trial.  The contract: for every
+backend, worker count, and cache temperature (none / cold / warm /
+reopened disk store), the sweep returns **bit-identical** values
+(exact ``==`` plus ``tobytes`` equality) to running each arm as its
+own serial :meth:`~repro.runtime.TrialRuntime.run` plan with the
+canonical trial protocol.  The scheduler dispatches one node per
+shard, so every pooled run here runs at shard size 1.
 """
 
 import multiprocessing
@@ -16,19 +19,17 @@ from repro.baselines.median import median_smooth_temporal
 from repro.cache import ArtifactCache
 from repro.config import NGSTConfig, NGSTDatasetConfig
 from repro.core.algo_ngst import AlgoNGST
+from repro.dag import Arm, DagScheduler, FaultSpec, TaskGraph, add_arm_sweep
+from repro.dag.build import aggregate_values
 from repro.experiments.common import walk_dataset
 from repro.faults.correlated import CorrelatedFaultModel
 from repro.faults.injector import FaultInjector, derive_injector_seed
 from repro.metrics.relative_error import psi
 from repro.runtime import (
-    Arm,
-    ArmRequest,
-    ArtifactPipeline,
-    FaultSpec,
     ProcessPoolBackend,
     SerialBackend,
+    ThreadPoolBackend,
     TrialRuntime,
-    fuse,
 )
 
 needs_fork = pytest.mark.skipif(
@@ -65,8 +66,9 @@ def _fixture():
     return dataset, model, arms
 
 
-def _unfused_reference(dataset, model, arms):
-    """Each arm as its own serial plan, canonical trial protocol."""
+def _unfused_reference(dataset, model, arms, runtime=None):
+    """Each arm as its own plan, canonical trial protocol."""
+    runtime = runtime if runtime is not None else TrialRuntime()
     results = {}
     for arm in arms:
         def trial(rng, arm=arm):
@@ -75,22 +77,27 @@ def _unfused_reference(dataset, model, arms):
             corrupted, _ = injector.inject(pristine)
             return arm.evaluate(corrupted, pristine)
 
-        results[arm.name] = TrialRuntime().run(trial, N_TRIALS, seed=SEED)
+        results[arm.name] = runtime.run(trial, N_TRIALS, seed=SEED)
     return results
 
 
-def _fused_group(dataset, model, arms):
-    requests = [
-        ArmRequest(
-            arm=arm,
-            pipeline=ArtifactPipeline(dataset=dataset, fault=FaultSpec.of(model)),
-            n_trials=N_TRIALS,
-            seed=SEED,
-        )
-        for arm in arms
-    ]
-    (group,) = fuse(requests)
-    return group
+def _sweep_graph(dataset, model, arms):
+    graph = TaskGraph("equivalence")
+    aggregate = add_arm_sweep(
+        graph, "sweep", arms, dataset, FaultSpec.of(model), N_TRIALS, SEED
+    )
+    return graph, aggregate
+
+
+def _run_sweep(scheduler, n_arms=None):
+    """The sweep's per-arm trial values, scheduled by *scheduler*."""
+    dataset, model, arms = _fixture()
+    graph, aggregate = _sweep_graph(dataset, model, arms[:n_arms])
+    outputs = scheduler.run(graph, targets=(aggregate,))
+    return {
+        name: [float(v) for v in values]
+        for name, values in aggregate_values(outputs[aggregate]).items()
+    }
 
 
 def _assert_identical(fused, reference):
@@ -104,85 +111,88 @@ def _assert_identical(fused, reference):
 
 @pytest.fixture(scope="module")
 def reference():
-    dataset, model, arms = _fixture()
-    return _unfused_reference(dataset, model, arms)
+    return _unfused_reference(*_fixture())
 
 
 class TestSerialEquivalence:
     def test_fused_without_cache(self, reference):
-        dataset, model, arms = _fixture()
-        fused = TrialRuntime().run_fused(_fused_group(dataset, model, arms))
-        _assert_identical(fused, reference)
+        """A runtime without a cache: the scheduler brings its own."""
+        scheduler = DagScheduler.for_runtime(TrialRuntime())
+        _assert_identical(_run_sweep(scheduler), reference)
 
     def test_fused_cold_cache(self, reference):
-        dataset, model, arms = _fixture()
-        runtime = TrialRuntime(cache=ArtifactCache())
-        fused = runtime.run_fused(_fused_group(dataset, model, arms))
-        _assert_identical(fused, reference)
-        stats = runtime.cache.stats()
-        assert stats.misses > 0  # cold: everything was produced once
+        cache = ArtifactCache()
+        _assert_identical(_run_sweep(DagScheduler(cache=cache)), reference)
+        # Cold: every dataset and fault node was produced and stored once.
+        assert cache.stats().puts >= 2 * N_TRIALS
 
     def test_fused_warm_cache(self, reference):
-        dataset, model, arms = _fixture()
-        runtime = TrialRuntime(cache=ArtifactCache())
-        group = _fused_group(dataset, model, arms)
-        runtime.run_fused(group, key="cold")
-        warm = runtime.run_fused(group, key="warm")
-        _assert_identical(warm, reference)
-        assert runtime.cache.stats().hits >= 2 * N_TRIALS  # pristine + realization
+        cache = ArtifactCache()
+        _run_sweep(DagScheduler(cache=cache))
+        graph, aggregate = _sweep_graph(*_fixture())
+        assert DagScheduler(cache=cache).survey(graph).pending() == ()
+        puts = cache.stats().puts
+        _assert_identical(_run_sweep(DagScheduler(cache=cache)), reference)
+        assert cache.stats().puts == puts  # nothing recomputed
 
     def test_fused_disk_tier_across_processes_simulated(self, reference, tmp_path):
-        """A fresh runtime (empty memory tier) serving from disk."""
-        dataset, model, arms = _fixture()
-        group = _fused_group(dataset, model, arms)
-        TrialRuntime(cache=ArtifactCache(directory=tmp_path)).run_fused(group)
+        """A fresh store object (empty memory tier) serving from disk."""
+        _run_sweep(DagScheduler(cache=ArtifactCache(directory=tmp_path)))
 
-        fresh = TrialRuntime(cache=ArtifactCache(directory=tmp_path))
-        fused = fresh.run_fused(group)
-        _assert_identical(fused, reference)
-        assert fresh.cache.stats().disk_hits >= 2 * N_TRIALS
+        reopened = ArtifactCache(directory=tmp_path)
+        _assert_identical(_run_sweep(DagScheduler(cache=reopened)), reference)
+        assert reopened.stats().disk_hits >= 1
+        assert reopened.stats().puts == 0
 
 
-@needs_fork
 class TestPoolEquivalence:
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @needs_fork
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
     def test_fused_pool_cold(self, reference, jobs):
-        dataset, model, arms = _fixture()
-        runtime = TrialRuntime(
-            backend=ProcessPoolBackend(jobs, start_method="fork"),
+        scheduler = DagScheduler(
             cache=ArtifactCache(),
-            shard_size=1,
+            backend=ProcessPoolBackend(jobs, start_method="fork"),
         )
-        fused = runtime.run_fused(_fused_group(dataset, model, arms))
-        _assert_identical(fused, reference)
+        _assert_identical(_run_sweep(scheduler), reference)
 
-    def test_fused_pool_warm_broadcast(self, reference):
-        """Warm entries travel to workers via the shared-memory overlay
-        and the worker-side hit counters ride back to the parent."""
-        dataset, model, arms = _fixture()
-        group = _fused_group(dataset, model, arms)
-        cache = ArtifactCache()
-        TrialRuntime(cache=cache).run_fused(group, key="warmup")
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_fused_threads_cold(self, reference, jobs):
+        backend = ThreadPoolBackend(jobs)
+        try:
+            scheduler = DagScheduler(cache=ArtifactCache(), backend=backend)
+            _assert_identical(_run_sweep(scheduler), reference)
+        finally:
+            backend.shutdown()
 
-        runtime = TrialRuntime(
-            backend=ProcessPoolBackend(2, start_method="fork"),
-            cache=cache,
-            shard_size=1,
+    @needs_fork
+    def test_fused_pool_warm_cache(self, reference, tmp_path):
+        """Pool workers score against dataset and fault artifacts that a
+        one-arm serial run left warm in a reopened disk store."""
+        _run_sweep(DagScheduler(cache=ArtifactCache(directory=tmp_path)), n_arms=1)
+        cache = ArtifactCache(directory=tmp_path)
+        scheduler = DagScheduler(
+            cache=cache, backend=ProcessPoolBackend(2, start_method="fork")
         )
-        fused = runtime.run_fused(group, key="pooled")
-        _assert_identical(fused, reference)
-        assert cache.stats().overlay_hits >= 2 * N_TRIALS
+        _assert_identical(_run_sweep(scheduler), reference)
+        # Only the two new arms' scores and the aggregate were computed.
+        assert cache.stats().puts == 2 * N_TRIALS + 1
 
-    def test_shard_size_does_not_change_values(self, reference):
-        dataset, model, arms = _fixture()
+    @needs_fork
+    def test_shard_size_does_not_change_values(self):
+        """The pooled per-arm reference agrees with the pooled sweep at
+        every reference shard size."""
+        swept = _run_sweep(
+            DagScheduler(
+                cache=ArtifactCache(),
+                backend=ProcessPoolBackend(2, start_method="fork"),
+            )
+        )
         for shard_size in (1, 2, N_TRIALS):
             runtime = TrialRuntime(
                 backend=ProcessPoolBackend(2, start_method="fork"),
-                cache=ArtifactCache(),
                 shard_size=shard_size,
             )
-            fused = runtime.run_fused(_fused_group(dataset, model, arms))
-            _assert_identical(fused, reference)
+            _assert_identical(swept, _unfused_reference(*_fixture(), runtime))
 
 
 class TestSpawnLimitation:
@@ -190,21 +200,21 @@ class TestSpawnLimitation:
         "spawn" not in multiprocessing.get_all_start_methods(),
         reason="spawn start method unavailable",
     )
-    def test_fused_closures_degrade_to_serial_under_spawn(self, monkeypatch):
-        """Fused shard functions are closures; spawn cannot pickle them,
-        so the pre-flight check must warn once and run them in-process —
-        with values bit-identical to a serial backend."""
+    def test_fused_closures_degrade_to_serial_under_spawn(
+        self, reference, monkeypatch
+    ):
+        """Sweep node functions close over lambda arms; spawn cannot
+        pickle them, so the pre-flight check must warn once and run them
+        in-process — with values bit-identical to a serial backend."""
         from repro.runtime import backend as backend_mod
 
         monkeypatch.setattr(backend_mod, "_SPAWN_FALLBACK_WARNED", False)
-        dataset, model, arms = _fixture()
-        reference = TrialRuntime(cache=ArtifactCache()).run_fused(
-            _fused_group(dataset, model, arms)
-        )
-        runtime = TrialRuntime(
-            backend=ProcessPoolBackend(2, start_method="spawn"),
+        scheduler = DagScheduler(
             cache=ArtifactCache(),
+            backend=ProcessPoolBackend(2, start_method="spawn"),
         )
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            fused = runtime.run_fused(_fused_group(dataset, model, arms))
-        _assert_identical(fused, reference)
+            swept = _run_sweep(scheduler)
+        _assert_identical(swept, reference)
+        serial = _run_sweep(DagScheduler(backend=SerialBackend()))
+        _assert_identical(swept, serial)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.config import NGSTConfig
+from repro.core import preprocessor
 from repro.exceptions import HeaderSanityError
 from repro.faults.injector import FaultInjector
 from repro.faults.uncorrelated import UncorrelatedFaultModel
-from repro.metrics.overhead import time_callable
+from repro.fits import file as fits_file
+from repro.fits.header import Header
+from repro.ngst import integrated as ngst_integrated
 from repro.ngst.integrated import integrated_run, layered_run, make_transport
 from repro.ngst.ramp import RampModel
 
@@ -55,27 +58,77 @@ class TestEquivalence:
             integrated_run(destroyed, ramp, NGSTConfig(sensitivity=80))
 
 
+#: The unwrapped codec functions, captured before any test patches them.
+_DECODE_DATA_UNIT = fits_file.decode_data_unit
+_WRITE_HDU = fits_file.write_hdu
+_HEADER_TO_BYTES = Header.to_bytes
+
+
+def _count_codec_passes(monkeypatch, run):
+    """FITS codec work done by *run*, counted where the paths look it up.
+
+    ``decodes`` counts data-unit decodes: the integrated path's, the
+    preprocessing layer's, and the application's re-read of the layer's
+    output (``read_fits_bytes`` → ``repro.fits.file``).  ``encodes``
+    counts HDU header serialisations, which every emitted FITS HDU starts
+    with — the layer's re-encoded output, with or without a rewritten
+    data unit — and ``data_encodes`` counts full ``write_hdu`` calls.
+    """
+    counts = {"decodes": 0, "encodes": 0, "data_encodes": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (fits_file, ngst_integrated, preprocessor):
+        monkeypatch.setattr(
+            module, "decode_data_unit", counting("decodes", _DECODE_DATA_UNIT)
+        )
+    monkeypatch.setattr(
+        preprocessor, "write_hdu", counting("data_encodes", _WRITE_HDU)
+    )
+    monkeypatch.setattr(Header, "to_bytes", counting("encodes", _HEADER_TO_BYTES))
+    run()
+    monkeypatch.undo()
+    return counts
+
+
 class TestOverheadClaim:
-    def test_integrated_no_slower_at_full_sensitivity(self, transport_world):
-        """At Λ > 0 the algorithm dominates; integration must not cost."""
+    """§9: integration lowers the overhead because the application gets
+    the repaired arrays directly instead of re-decoding a re-encoded
+    FITS stream.  The claim is checked structurally, by counting codec
+    passes; the wall-clock comparison lives in
+    ``benchmarks/test_bench_integrated.py``."""
+
+    def test_integrated_no_slower_at_full_sensitivity(
+        self, transport_world, monkeypatch
+    ):
+        """At Λ > 0 the layer re-encodes the whole repaired cube."""
         ramp, _, blob = transport_world
         config = NGSTConfig(sensitivity=80)
-        layered_t = time_callable(lambda: layered_run(blob, ramp, config), repeats=3)
-        integrated_t = time_callable(
-            lambda: integrated_run(blob, ramp, config), repeats=3
+        layered = _count_codec_passes(
+            monkeypatch, lambda: layered_run(blob, ramp, config)
         )
-        assert integrated_t.best_seconds < layered_t.best_seconds * 1.10
+        integrated = _count_codec_passes(
+            monkeypatch, lambda: integrated_run(blob, ramp, config)
+        )
+        assert integrated["decodes"] < layered["decodes"]
+        assert integrated["encodes"] < layered["encodes"]
+        assert integrated["data_encodes"] < layered["data_encodes"]
 
-    def test_integrated_faster_at_header_only(self, transport_world):
-        """§9: integration lowers the overhead — at Λ = 0 the separate
-        layer's FITS re-encode/decode round-trip is the dominant cost,
-        and the integrated path skips it entirely."""
+    def test_integrated_faster_at_header_only(self, transport_world, monkeypatch):
+        """At Λ = 0 the layer still re-emits the stream and the
+        application decodes the data unit a second time."""
         ramp, _, blob = transport_world
         config = NGSTConfig(sensitivity=0)
-        layered_t = time_callable(lambda: layered_run(blob, ramp, config), repeats=9)
-        integrated_t = time_callable(
-            lambda: integrated_run(blob, ramp, config), repeats=9
+        layered = _count_codec_passes(
+            monkeypatch, lambda: layered_run(blob, ramp, config)
         )
-        # Best-of-9 with a small tolerance: the structural saving (~14%
-        # at this size) must show through scheduler noise.
-        assert integrated_t.best_seconds < layered_t.best_seconds * 1.02
+        integrated = _count_codec_passes(
+            monkeypatch, lambda: integrated_run(blob, ramp, config)
+        )
+        assert integrated["decodes"] < layered["decodes"]
+        assert integrated["encodes"] < layered["encodes"]

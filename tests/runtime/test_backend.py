@@ -110,15 +110,17 @@ class TestProcessPoolBackend:
         assert "jobs=3" in ProcessPoolBackend(3).describe()
 
     def test_crosses_process_boundary_flags(self):
-        assert ProcessPoolBackend(2).crosses_process_boundary is True
-        assert SerialBackend().crosses_process_boundary is False
-
-    def test_tuple_shard_return_carries_meta(self):
-        shard_fn = lambda shard: ([1.0] * shard.n_trials, {"tag": 7})  # noqa: E731
-        plan = TrialPlan(2, seed=0, shard_size=2)
-        (result,) = SerialBackend().run_shards(shard_fn, plan.shards)
-        assert result.values == [1.0, 1.0]
-        assert result.meta == {"tag": 7}
+        """Pool shards run in worker processes; serial ones in ours."""
+        plan = TrialPlan(4, seed=0, shard_size=1)
+        shard_fn = lambda shard: [float(os.getpid())]  # noqa: E731
+        pooled = set()
+        for result in ProcessPoolBackend(2).run_shards(shard_fn, plan.shards):
+            pooled.update(result.values)
+        assert float(os.getpid()) not in pooled
+        serial = set()
+        for result in SerialBackend().run_shards(shard_fn, plan.shards):
+            serial.update(result.values)
+        assert serial == {float(os.getpid())}
 
 
 class TestStartMethods:
@@ -205,8 +207,18 @@ class TestThreadPoolBackend:
 
     def test_no_process_boundary(self):
         # Shared-state callers (the serve layer's sessions, the artifact
-        # cache) rely on this flag: nothing is pickled or broadcast.
-        assert ThreadPoolBackend(2).crosses_process_boundary is False
+        # cache) rely on this: shards see the caller's objects, unpickled.
+        seen = []
+        plan = TrialPlan(4, seed=0, shard_size=1)
+        backend = ThreadPoolBackend(2)
+        try:
+            for result in backend.run_shards(
+                lambda shard: [seen.append(os.getpid()) or 0.0], plan.shards
+            ):
+                assert result.values == [0.0]
+        finally:
+            backend.shutdown()
+        assert seen == [os.getpid()] * 4
 
     def test_submit_runs_ad_hoc_jobs_on_named_threads(self):
         import threading

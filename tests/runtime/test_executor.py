@@ -1,10 +1,12 @@
-"""Tests for TrialRuntime: equivalence, resume, telemetry."""
+"""Tests for TrialRuntime: equivalence, store-backed resume, telemetry."""
 
 import numpy as np
 import pytest
 
+from repro.cache import ArtifactCache
+from repro.dag import json_artifact
+from repro.exceptions import ConfigurationError
 from repro.runtime import (
-    CheckpointStore,
     ProcessPoolBackend,
     RunCompleted,
     RunStarted,
@@ -13,6 +15,7 @@ from repro.runtime import (
     Telemetry,
     TrialRuntime,
 )
+from repro.runtime.executor import shard_record_key
 
 
 def _trial(rng):
@@ -62,9 +65,20 @@ class TestSerialEquivalence:
         assert parallel == serial
 
 
+def _store(tmp_path):
+    return ArtifactCache(directory=tmp_path / "store")
+
+
+def _record_key(key, fingerprint, index, scope="exp"):
+    return shard_record_key(scope, key, fingerprint, index)
+
+
+def _resumable(cache, **kwargs):
+    return TrialRuntime(checkpoint="exp", cache=cache, **kwargs)
+
+
 class TestResume:
     def test_interrupted_run_resumes_without_rerunning(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
         calls = {"n": 0}
 
         def fragile(rng):
@@ -74,9 +88,14 @@ class TestResume:
             return float(rng.normal())
 
         with pytest.raises(RuntimeError, match="simulated crash"):
-            TrialRuntime(checkpoint=store, shard_size=2).run(fragile, 10, seed=3)
-        # Two full shards (4 trials) were checkpointed before the crash.
-        assert len(store.completed("run-0000", "n=10;seed=3;shard=2;v1")) == 2
+            _resumable(_store(tmp_path), shard_size=2).run(fragile, 10, seed=3)
+        # Two full shards (4 trials) were recorded before the crash.
+        fingerprint = "n=10;seed=3;shard=2;v1"
+        reopened = _store(tmp_path)
+        assert [
+            reopened.contains(_record_key("run-0000", fingerprint, index))
+            for index in range(5)
+        ] == [True, True, False, False, False]
 
         calls["n"] = 0
 
@@ -84,63 +103,107 @@ class TestResume:
             calls["n"] += 1
             return float(rng.normal())
 
-        resumed = TrialRuntime(checkpoint=store, shard_size=2).run(
-            healthy, 10, seed=3
-        )
+        resumed = _resumable(reopened, shard_size=2).run(healthy, 10, seed=3)
         assert calls["n"] == 6  # only the 3 unfinished shards re-ran
         clean = TrialRuntime(shard_size=2).run(_trial, 10, seed=3)
         assert resumed == clean
 
     def test_checkpoint_shared_between_serial_and_parallel(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        serial = TrialRuntime(
-            SerialBackend(), checkpoint=store, shard_size=2
+        serial = _resumable(
+            _store(tmp_path), backend=SerialBackend(), shard_size=2
         ).run(_trial, 9, seed=4)
-        resumed = TrialRuntime(
-            ProcessPoolBackend(3), checkpoint=store, shard_size=2
-        ).run(_trial, 9, seed=4)
-        assert resumed == serial
-
-    def test_changed_plan_invalidates_checkpoint(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        TrialRuntime(checkpoint=store, shard_size=2).run(_trial, 6, seed=1)
         calls = {"n": 0}
 
         def counting(rng):
             calls["n"] += 1
             return float(rng.normal())
 
-        TrialRuntime(checkpoint=store, shard_size=2).run(counting, 6, seed=99)
+        resumed = _resumable(
+            _store(tmp_path), backend=ProcessPoolBackend(3), shard_size=2
+        ).run(counting, 9, seed=4)
+        assert resumed == serial
+        assert calls["n"] == 0  # every shard restored, none re-run
+
+    def test_changed_plan_invalidates_checkpoint(self, tmp_path):
+        _resumable(_store(tmp_path), shard_size=2).run(_trial, 6, seed=1)
+        calls = {"n": 0}
+
+        def counting(rng):
+            calls["n"] += 1
+            return float(rng.normal())
+
+        _resumable(_store(tmp_path), shard_size=2).run(counting, 6, seed=99)
         assert calls["n"] == 6  # different seed: nothing restored
+        calls["n"] = 0
+        TrialRuntime(checkpoint="other", cache=_store(tmp_path), shard_size=2).run(
+            counting, 6, seed=1
+        )
+        assert calls["n"] == 6  # different scope: nothing restored
 
     def test_out_of_range_shard_records_ignored(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        store.record("run-0000", "n=4;seed=0;shard=2;v1", 7, [1.0, 2.0])
-        values = TrialRuntime(checkpoint=store, shard_size=2).run(_trial, 4, seed=0)
+        cache = _store(tmp_path)
+        cache.put(
+            _record_key("run-0000", "n=4;seed=0;shard=2;v1", 7),
+            json_artifact([1.0, 2.0]),
+        )
+        values = _resumable(cache, shard_size=2).run(_trial, 4, seed=0)
         assert values == TrialRuntime(shard_size=2).run(_trial, 4, seed=0)
 
     def test_wrong_length_checkpoint_fails_loudly(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        store.record("run-0000", "n=4;seed=0;shard=2;v1", 0, [1.0, 2.0, 3.0])
+        cache = _store(tmp_path)
+        cache.put(
+            _record_key("run-0000", "n=4;seed=0;shard=2;v1", 0),
+            json_artifact([1.0, 2.0, 3.0]),
+        )
         with pytest.raises(RuntimeError, match="expected 2"):
-            TrialRuntime(checkpoint=store, shard_size=2).run(_trial, 4, seed=0)
+            _resumable(cache, shard_size=2).run(_trial, 4, seed=0)
+
+    def test_corrupt_record_reruns_its_shard(self, tmp_path):
+        """A torn record fails the store's hash check and is re-run."""
+        first = _resumable(_store(tmp_path), shard_size=2).run(_trial, 4, seed=0)
+        key = _record_key("run-0000", "n=4;seed=0;shard=2;v1", 1)
+        payload = tmp_path / "store" / f"{key}.npz"
+        payload.write_bytes(payload.read_bytes()[:-8])
+        calls = {"n": 0}
+
+        def counting(rng):
+            calls["n"] += 1
+            return float(rng.normal())
+
+        resumed = _resumable(_store(tmp_path), shard_size=2).run(counting, 4, seed=0)
+        assert calls["n"] == 2
+        assert resumed == first
+
+    def test_values_roundtrip_bitwise(self, tmp_path):
+        """Restored floats are the recorded floats, bit for bit."""
+        first = _resumable(_store(tmp_path), shard_size=3).run(
+            _multi_stat_trial, 7, seed=11
+        )
+        restored = _resumable(_store(tmp_path), shard_size=3).run(
+            lambda rng: pytest.fail("every shard should be restored"), 7, seed=11
+        )
+        assert np.asarray(restored).tobytes() == np.asarray(first).tobytes()
+
+    def test_scope_needs_a_cache(self):
+        with pytest.raises(ConfigurationError, match="artifact cache"):
+            TrialRuntime(checkpoint="exp")
 
 
 class TestKeysAndTelemetry:
     def test_auto_keys_are_sequential_per_runtime(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        runtime = TrialRuntime(checkpoint=store, shard_size=2)
+        cache = _store(tmp_path)
+        runtime = _resumable(cache, shard_size=2)
         runtime.run(_trial, 4, seed=0)
         runtime.run(_trial, 4, seed=0)
-        assert store.completed("run-0000", "n=4;seed=0;shard=2;v1")
-        assert store.completed("run-0001", "n=4;seed=0;shard=2;v1")
+        assert cache.contains(_record_key("run-0000", "n=4;seed=0;shard=2;v1", 0))
+        assert cache.contains(_record_key("run-0001", "n=4;seed=0;shard=2;v1", 0))
 
     def test_explicit_key_used_verbatim(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        TrialRuntime(checkpoint=store, shard_size=2).run(
-            _trial, 4, seed=0, key="fig5/point-1"
+        cache = _store(tmp_path)
+        _resumable(cache, shard_size=2).run(_trial, 4, seed=0, key="fig5/point-1")
+        assert cache.contains(
+            _record_key("fig5/point-1", "n=4;seed=0;shard=2;v1", 0)
         )
-        assert store.completed("fig5/point-1", "n=4;seed=0;shard=2;v1")
 
     def test_event_sequence(self):
         telemetry = Telemetry()
@@ -163,13 +226,12 @@ class TestKeysAndTelemetry:
         assert events[-1].n_shards_restored == 0
 
     def test_restored_shards_flagged_in_telemetry(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt.jsonl")
-        TrialRuntime(checkpoint=store, shard_size=2).run(_trial, 6, seed=1)
+        _resumable(_store(tmp_path), shard_size=2).run(_trial, 6, seed=1)
 
         telemetry = Telemetry()
         events = []
         telemetry.subscribe(events.append)
-        TrialRuntime(checkpoint=store, telemetry=telemetry, shard_size=2).run(
+        _resumable(_store(tmp_path), telemetry=telemetry, shard_size=2).run(
             _trial, 6, seed=1
         )
         restored = [

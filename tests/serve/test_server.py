@@ -81,6 +81,37 @@ class TestSingleStream:
         assert result.result["psi_algorithm"] == oracle.psi_algorithm
         assert result.reconnects == 0
 
+    def test_ack_larger_than_64_kib(self, tmp_path):
+        """An ack carrying 32 output frames of 32x32 (about 87 KB of
+        base64) is over asyncio's default 64 KiB line limit."""
+        tenant = TenantConfig(
+            name="t", gamma=0.01, stack_frames=16, durable=False
+        )
+
+        async def scenario():
+            server = ReproServer(ServerConfig(checkpoint_dir=tmp_path, jobs=2))
+            server.registry.put(tenant)
+            await server.start()
+            try:
+                frames = _walk(64, seed=5, shape=(32, 32))
+                client = StreamClient(
+                    "127.0.0.1",
+                    server.ingest_port,
+                    "t",
+                    "big",
+                    frames,
+                    batch_frames=32,
+                )
+                return frames, await client.run()
+            finally:
+                await server.drain()
+                await server.stop()
+
+        frames, result = asyncio.run(scenario())
+        oracle = _oracle(frames, tenant)
+        assert result.outputs.tobytes() == oracle.output.tobytes()
+        assert result.reconnects == 0
+
     def test_metrics_observe_the_stream(self, tmp_path):
         async def scenario():
             server = await _start_server(tmp_path)

@@ -134,12 +134,13 @@ class TestErrorPaths:
         assert "Traceback" not in captured.err
 
     def test_unwritable_checkpoint_dir_main_cli(self, capsys):
+        # The experiment CLI records --resume shards in --cache-dir.
         rc = repro_main(
-            ["fig2", "--quick", "--resume", "--checkpoint-dir", "/proc/nope"]
+            ["fig2", "--quick", "--resume", "--cache-dir", "/proc/nope"]
         )
         assert rc == 2
         captured = capsys.readouterr()
-        assert "not writable" in captured.err
+        assert "--cache-dir /proc/nope is not writable" in captured.err
         assert "Traceback" not in captured.err
 
     def test_unwritable_checkpoint_dir_stream_cli(self, capsys):

@@ -23,7 +23,6 @@ def reports(tmp_path_factory):
     bench_dir = tmp_path_factory.mktemp("bench")
     out = bench_dir / "report.json"
     stream_out = bench_dir / "stream.json"
-    cache_out = bench_dir / "cache.json"
     native_out = bench_dir / "native.json"
     dag_out = bench_dir / "dag.json"
     cluster_out = bench_dir / "cluster.json"
@@ -38,8 +37,6 @@ def reports(tmp_path_factory):
                 str(out),
                 "--stream-out",
                 str(stream_out),
-                "--cache-out",
-                str(cache_out),
                 "--native-out",
                 str(native_out),
                 "--dag-out",
@@ -55,7 +52,6 @@ def reports(tmp_path_factory):
     return (
         json.loads(out.read_text()),
         json.loads(stream_out.read_text()),
-        json.loads(cache_out.read_text()),
         json.loads(native_out.read_text()),
         json.loads(dag_out.read_text()),
         json.loads(cluster_out.read_text()),
@@ -74,28 +70,23 @@ def stream_report(reports):
 
 
 @pytest.fixture(scope="module")
-def cache_report(reports):
+def native_report(reports):
     return reports[2]
 
 
 @pytest.fixture(scope="module")
-def native_report(reports):
+def dag_report(reports):
     return reports[3]
 
 
 @pytest.fixture(scope="module")
-def dag_report(reports):
+def cluster_report(reports):
     return reports[4]
 
 
 @pytest.fixture(scope="module")
-def cluster_report(reports):
-    return reports[5]
-
-
-@pytest.fixture(scope="module")
 def strategies_report(reports):
-    return reports[6]
+    return reports[5]
 
 
 def test_report_top_level_schema(report):
@@ -187,51 +178,6 @@ def test_committed_stream_report_is_schema_valid():
     for entry in committed["throughput"]:
         assert set(bench_report.STREAM_KEYS) <= set(entry)
     assert committed["memory"]["stream_growth_ratio"] < 1.25
-
-
-def test_cache_report_top_level_schema(cache_report):
-    assert cache_report["schema_version"] == bench_report.CACHE_SCHEMA_VERSION
-    assert cache_report["quick"] is True
-    assert set(bench_report.FUSED_KEYS) <= set(cache_report["fused_sweep"])
-    assert set(bench_report.POOL_KEYS) <= set(cache_report["pool"])
-    assert set(bench_report.IPC_KEYS) <= set(cache_report["ipc"])
-
-
-def test_cache_report_witnesses_bit_identity(cache_report):
-    """The benchmark itself verifies fused == unfused, both backends."""
-    assert cache_report["fused_sweep"]["bit_identical"] is True
-    assert cache_report["pool"]["bit_identical"] is True
-
-
-def test_cache_report_cache_counters(cache_report):
-    """A warm rerun of the same sweep must actually hit the cache."""
-    cache = cache_report["fused_sweep"]["cache"]
-    assert cache["hits"] > 0
-    assert cache["hit_rate"] > 0
-    assert cache["bytes_saved"] > 0
-
-
-def test_cache_report_ipc_handle_is_smaller(cache_report):
-    """The shm handle must beat pickling the arrays itself on bytes."""
-    ipc = cache_report["ipc"]
-    assert ipc["handle_bytes"] < ipc["pickled_arrays_bytes"]
-    assert ipc["payload_bytes"] > 0
-
-
-def test_committed_cache_report_is_schema_valid():
-    """The checked-in BENCH_PR4.json must parse under the same schema
-    and show the headline result: >= 3x warm-cache speedup on the
-    Λ-sweep with a nonzero hit rate, bit-identical to unfused."""
-    committed = json.loads((REPO_ROOT / "BENCH_PR4.json").read_text())
-    assert committed["schema_version"] == bench_report.CACHE_SCHEMA_VERSION
-    assert set(bench_report.FUSED_KEYS) <= set(committed["fused_sweep"])
-    assert set(bench_report.POOL_KEYS) <= set(committed["pool"])
-    assert set(bench_report.IPC_KEYS) <= set(committed["ipc"])
-    fused = committed["fused_sweep"]
-    assert fused["bit_identical"] is True
-    assert fused["speedup_warm"] >= 3.0
-    assert fused["cache"]["hit_rate"] > 0
-    assert fused["cache"]["bytes_saved"] > 0
 
 
 def test_native_report_top_level_schema(native_report):

@@ -10,19 +10,13 @@ numbers plus an end-to-end campaign throughput figure to
 contract) and peak traced allocation of the streaming path versus the
 batch pipeline, demonstrating the O(chunk + window) memory bound (the
 streaming peak stays flat as the stream length doubles; the batch peak
-scales with it).  A third report, ``BENCH_PR4.json``, covers the
-``repro.cache`` + plan-fusion work: wall-clock of a figure-4-style
-multi-arm Λ-sweep unfused vs fused (cold and warm cache, serial and
-across a worker pool), the cache hit/miss/bytes-saved counters, and
-the IPC cost of shipping warm artifacts to workers as a shared-memory
-handle versus pickling the arrays — with the fused results asserted
-bit-identical to the unfused ones inside the benchmark itself.  A
-fourth report, ``BENCH_PR7.json``, covers the compiled kernel tier:
-NumPy-vs-native wall-clock per dispatched kernel (timed by flipping
-``repro.native.kernel_tier`` around the same public entry point), the
-≥2x headline-kernel regression gate, end-to-end campaign and stream
-deltas per tier, and a ThreadPoolBackend shard run demonstrating that
-the GIL-releasing native calls scale across threads.
+scales with it).  A third report, ``BENCH_PR7.json``, covers the
+compiled kernel tier: NumPy-vs-native wall-clock per dispatched kernel
+(timed by flipping ``repro.native.kernel_tier`` around the same public
+entry point), the ≥2x headline-kernel regression gate, end-to-end
+campaign and stream deltas per tier, and a ThreadPoolBackend shard run
+demonstrating that the GIL-releasing native calls scale across
+threads.
 
 Usage::
 
@@ -39,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import platform
 import sys
 import time
@@ -53,10 +46,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.baselines.majority import (  # noqa: E402
     _reference_majority_vote_window,
-    majority_vote_temporal,
     majority_vote_window,
 )
-from repro.cache import ArtifactCache, SharedArtifactMap  # noqa: E402
+from repro.cache import ArtifactCache  # noqa: E402
 from repro.baselines.median import (  # noqa: E402
     _reference_median_smooth_spatial,
     _reference_median_smooth_temporal,
@@ -76,7 +68,6 @@ from repro.core import bitops  # noqa: E402
 from repro.core.algo_ngst import AlgoNGST  # noqa: E402
 from repro.core.voter import VoterMatrix, _reference_grt  # noqa: E402
 from repro.data.ngst import generate_walk  # noqa: E402
-from repro.experiments.common import walk_dataset  # noqa: E402
 from repro.faults.campaign import Campaign  # noqa: E402
 from repro.faults.correlated import (  # noqa: E402
     CorrelatedFaultModel,
@@ -89,14 +80,8 @@ from repro.metrics.relative_error import psi  # noqa: E402
 from repro.native import kernel_tier, native_available  # noqa: E402
 from repro.native import loader as native_loader  # noqa: E402
 from repro.runtime import (  # noqa: E402
-    Arm,
-    ArmRequest,
-    ArtifactPipeline,
-    FaultSpec,
-    ProcessPoolBackend,
     ThreadPoolBackend,
     TrialRuntime,
-    fuse,
 )
 from repro.otis.scan import (  # noqa: E402
     ScanConfig,
@@ -124,35 +109,6 @@ KERNEL_KEYS = ("name", "config", "before_ms", "after_ms", "speedup")
 
 #: Keys every streaming-throughput entry must carry.
 STREAM_KEYS = ("chunk_frames", "frames_per_sec", "elapsed_s", "psi_algorithm")
-
-#: BENCH_PR4.json schema version (artifact cache + plan fusion report).
-CACHE_SCHEMA_VERSION = 1
-
-#: Keys the fused-sweep section must carry.
-FUSED_KEYS = (
-    "n_arms",
-    "n_trials",
-    "unfused_s",
-    "fused_cold_s",
-    "fused_warm_s",
-    "speedup_cold",
-    "speedup_warm",
-    "bit_identical",
-    "cache",
-)
-
-#: Keys the worker-pool section must carry.
-POOL_KEYS = ("jobs", "unfused_s", "fused_warm_s", "speedup", "broadcast_bytes")
-
-#: Keys the IPC-cost section must carry.
-IPC_KEYS = (
-    "payload_bytes",
-    "pickled_arrays_bytes",
-    "handle_bytes",
-    "pickle_ms",
-    "handle_ms",
-    "bytes_ratio",
-)
 
 #: BENCH_PR7.json schema version (native kernel tier report).
 NATIVE_SCHEMA_VERSION = 1
@@ -544,194 +500,6 @@ def _bench_stream_memory(quick: bool) -> dict:
         "stream_to_batch_ratio": round(
             stream_peaks[1]["peak_bytes"] / batch_peak, 4
         ),
-    }
-
-
-def _sweep_fixture(quick: bool):
-    """The figure-4-style Λ-sweep both sides of BENCH_PR4 run.
-
-    Arms: no-preprocessing control, Algo_NGST at every Λ of the grid,
-    and the two smoothing baselines — all against the correlated fault
-    model, the paper's costliest injection path.
-    """
-    shape = (8, 8) if quick else (16, 16)
-    n_variants = 16 if quick else 64
-    lambdas = (50.0, 80.0) if quick else (10.0, 30.0, 50.0, 70.0, 80.0, 90.0, 100.0)
-    n_trials = 4 if quick else 16
-    dataset_cfg = NGSTDatasetConfig(n_variants=n_variants, sigma=25.0)
-    model = CorrelatedFaultModel(CorrelatedFaultConfig(gamma_ini=0.05))
-    dataset = walk_dataset(dataset_cfg, shape)
-
-    arms = [Arm("no-preprocessing", lambda c, p: psi(c, p))]
-    for lam in lambdas:
-        algo = AlgoNGST(NGSTConfig(sensitivity=lam))
-        arms.append(
-            Arm(f"L={int(lam)}", lambda c, p, algo=algo: psi(algo(c).corrected, p))
-        )
-    arms.append(Arm("median-w3", lambda c, p: psi(median_smooth_temporal(c), p)))
-    arms.append(Arm("majority-w3", lambda c, p: psi(majority_vote_temporal(c), p)))
-
-    def unfused_trial(rng, arm):
-        # The historical per-arm protocol: every arm regenerates and
-        # re-injects its own copies of the bit-identical artifacts.
-        pristine = generate_walk(dataset_cfg, rng, shape)
-        injector = FaultInjector(model, seed=int(rng.integers(2**31)))
-        corrupted, _ = injector.inject(pristine)
-        return arm.evaluate(corrupted, pristine)
-
-    group = fuse(
-        [
-            ArmRequest(arm, ArtifactPipeline(dataset, FaultSpec.of(model)), n_trials, 2003)
-            for arm in arms
-        ]
-    )[0]
-    config = {
-        "shape": list(shape),
-        "n_variants": n_variants,
-        "gamma_ini": 0.05,
-        "lambdas": [float(lam) for lam in lambdas],
-    }
-    return arms, group, unfused_trial, n_trials, config
-
-
-def _run_unfused(
-    arms, unfused_trial, n_trials, backend=None, shard_size=None
-) -> tuple[float, dict]:
-    runtime = TrialRuntime(backend=backend, shard_size=shard_size)
-    t0 = time.perf_counter()
-    values = {
-        arm.name: runtime.run(
-            lambda rng, arm=arm: unfused_trial(rng, arm), n_trials, 2003
-        )
-        for arm in arms
-    }
-    return time.perf_counter() - t0, values
-
-
-def _bench_fused_sweep(quick: bool) -> dict:
-    """Unfused vs fused (cold/warm cache) Λ-sweep wall-clock, serial."""
-    arms, group, unfused_trial, n_trials, config = _sweep_fixture(quick)
-
-    unfused_s, unfused_values = _run_unfused(arms, unfused_trial, n_trials)
-
-    cache = ArtifactCache()
-    runtime = TrialRuntime(cache=cache)
-    t0 = time.perf_counter()
-    fused_cold = runtime.run_fused(group)
-    fused_cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fused_warm = runtime.run_fused(group)
-    fused_warm_s = time.perf_counter() - t0
-
-    bit_identical = all(
-        np.asarray(unfused_values[name]).tobytes()
-        == np.asarray(fused_cold[name]).tobytes()
-        == np.asarray(fused_warm[name]).tobytes()
-        for name in unfused_values
-    )
-    return {
-        "config": config,
-        "n_arms": len(arms),
-        "n_trials": n_trials,
-        "unfused_s": round(unfused_s, 4),
-        "fused_cold_s": round(fused_cold_s, 4),
-        "fused_warm_s": round(fused_warm_s, 4),
-        "speedup_cold": round(unfused_s / fused_cold_s, 3) if fused_cold_s else 0.0,
-        "speedup_warm": round(unfused_s / fused_warm_s, 3) if fused_warm_s else 0.0,
-        "bit_identical": bit_identical,
-        "cache": cache.stats().as_dict(),
-    }
-
-
-def _bench_fused_pool(quick: bool) -> dict:
-    """Unfused vs warm-cache fused at the same worker count."""
-    from repro.runtime import CacheSnapshot, Telemetry
-
-    jobs = 2 if quick else 8
-    arms, group, unfused_trial, n_trials, _ = _sweep_fixture(quick)
-
-    cache = ArtifactCache()
-    fused_serial = TrialRuntime(cache=cache).run_fused(group)  # warm the cache
-
-    unfused_s, unfused_values = _run_unfused(
-        arms, unfused_trial, n_trials, backend=ProcessPoolBackend(jobs), shard_size=1
-    )
-
-    snapshots: list[CacheSnapshot] = []
-    telemetry = Telemetry()
-    telemetry.subscribe(
-        lambda event: snapshots.append(event)
-        if isinstance(event, CacheSnapshot)
-        else None
-    )
-    pool_runtime = TrialRuntime(
-        backend=ProcessPoolBackend(jobs),
-        cache=cache,
-        telemetry=telemetry,
-        shard_size=1,
-    )
-    t0 = time.perf_counter()
-    fused_pool = pool_runtime.run_fused(group)
-    fused_warm_s = time.perf_counter() - t0
-
-    bit_identical = all(
-        np.asarray(unfused_values[name]).tobytes()
-        == np.asarray(fused_serial[name]).tobytes()
-        == np.asarray(fused_pool[name]).tobytes()
-        for name in unfused_values
-    )
-    stats = cache.stats()
-    return {
-        "jobs": jobs,
-        "n_arms": len(arms),
-        "n_trials": n_trials,
-        "unfused_s": round(unfused_s, 4),
-        "fused_warm_s": round(fused_warm_s, 4),
-        "speedup": round(unfused_s / fused_warm_s, 3) if fused_warm_s else 0.0,
-        "bit_identical": bit_identical,
-        "broadcast_bytes": snapshots[-1].broadcast_bytes if snapshots else 0,
-        "overlay_hits": stats.overlay_hits,
-    }
-
-
-def _bench_ipc(quick: bool) -> dict:
-    """Shared-memory handle vs pickled arrays: IPC bytes and time.
-
-    Measures what actually crosses the process boundary when warm
-    artifacts reach pool workers: the pickled
-    :class:`SharedArtifactMap` worker view (a segment name plus array
-    specs) versus pickling the arrays themselves.
-    """
-    arms, group, _, n_trials, _ = _sweep_fixture(quick)
-    cache = ArtifactCache()
-    TrialRuntime(cache=cache).run_fused(group)  # warm every artifact
-    entries = {
-        key: entry
-        for key in list(cache._memory)
-        if (entry := cache.peek(key)) is not None
-    }
-    payload = {k: {n: np.asarray(a) for n, a in e.arrays.items()} for k, e in entries.items()}
-    payload_bytes = sum(e.nbytes for e in entries.values())
-
-    repeats = 3 if quick else 10
-    with SharedArtifactMap.broadcast(entries) as broadcast:
-        view = broadcast.worker_view()
-        handle_blob = pickle.dumps(view)
-        pickle_blob = pickle.dumps(payload)
-        handle_ms = min(
-            _time_once(lambda: pickle.dumps(view)) for _ in range(repeats)
-        ) * 1e3
-        pickle_ms = min(
-            _time_once(lambda: pickle.dumps(payload)) for _ in range(repeats)
-        ) * 1e3
-    return {
-        "n_entries": len(entries),
-        "payload_bytes": payload_bytes,
-        "pickled_arrays_bytes": len(pickle_blob),
-        "handle_bytes": len(handle_blob),
-        "pickle_ms": round(pickle_ms, 4),
-        "handle_ms": round(handle_ms, 4),
-        "bytes_ratio": round(len(pickle_blob) / len(handle_blob), 2),
     }
 
 
@@ -1393,19 +1161,6 @@ def build_strategies_report(quick: bool) -> dict:
     }
 
 
-def build_cache_report(quick: bool) -> dict:
-    return {
-        "schema_version": CACHE_SCHEMA_VERSION,
-        "generated_by": "tools/bench_report.py" + (" --quick" if quick else ""),
-        "quick": quick,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "fused_sweep": _bench_fused_sweep(quick),
-        "pool": _bench_fused_pool(quick),
-        "ipc": _bench_ipc(quick),
-    }
-
-
 def build_stream_report(quick: bool) -> dict:
     return {
         "schema_version": STREAM_SCHEMA_VERSION,
@@ -1448,12 +1203,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=REPO_ROOT / "BENCH_PR3.json",
         help="streaming report path (default: repo-root BENCH_PR3.json)",
-    )
-    parser.add_argument(
-        "--cache-out",
-        type=Path,
-        default=REPO_ROOT / "BENCH_PR4.json",
-        help="cache/fusion report path (default: repo-root BENCH_PR4.json)",
     )
     parser.add_argument(
         "--native-out",
@@ -1521,30 +1270,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(growth ratio {m['stream_growth_ratio']}x when the stream doubles)"
     )
     print(f"wrote {args.stream_out}")
-
-    cache_report = build_cache_report(args.quick)
-    args.cache_out.write_text(json.dumps(cache_report, indent=2) + "\n")
-    f = cache_report["fused_sweep"]
-    print(
-        f"fused sweep: {f['n_arms']} arms x {f['n_trials']} trials  "
-        f"unfused {f['unfused_s']}s -> cold {f['fused_cold_s']}s "
-        f"({f['speedup_cold']}x) -> warm {f['fused_warm_s']}s "
-        f"({f['speedup_warm']}x)  hit rate {f['cache']['hit_rate']:.0%}  "
-        f"bit_identical={f['bit_identical']}"
-    )
-    p = cache_report["pool"]
-    print(
-        f"fused pool:  jobs={p['jobs']}  unfused {p['unfused_s']}s -> "
-        f"warm {p['fused_warm_s']}s ({p['speedup']}x)  "
-        f"broadcast {p['broadcast_bytes']} bytes"
-    )
-    i = cache_report["ipc"]
-    print(
-        f"ipc: {i['n_entries']} entries  pickled arrays "
-        f"{i['pickled_arrays_bytes']} B / {i['pickle_ms']}ms vs shm handle "
-        f"{i['handle_bytes']} B / {i['handle_ms']}ms ({i['bytes_ratio']}x smaller)"
-    )
-    print(f"wrote {args.cache_out}")
 
     native_report = build_native_report(args.quick, args.repeats, args.warmup)
     args.native_out.write_text(json.dumps(native_report, indent=2) + "\n")
