@@ -2,8 +2,8 @@
 
 Each pair times a vectorized kernel next to the ``_reference_*`` oracle
 it replaced, so ``pytest benchmarks/ --benchmark-only`` shows the
-before/after trajectory alongside the component benches.  The same
-pairs feed ``tools/bench_report.py`` / ``BENCH_PR2.json``.
+before/after trajectory alongside the component benches.  The
+repository's end-to-end benchmark is ``perfbench/`` (``BENCHMARK.json``).
 """
 
 import numpy as np

@@ -7,8 +7,8 @@ captured RNG state, for example).  Lookups fall through two tiers:
 
 1. the in-process **LRU tier**, byte-capped, promoted on every hit;
 2. the optional **disk tier**: one ``<key>.npz`` payload plus a
-   ``<key>.json`` sidecar per entry, byte-capped with oldest-first
-   eviction.
+   ``<key>.json`` sidecar per entry, never evicted (the DAG scheduler's
+   recovery survey relies on every published entry staying put).
 
 Disk writes are safe under concurrent writers: payload and sidecar are
 written to unique temp files and published with ``os.replace`` (atomic
@@ -94,7 +94,6 @@ class CacheStats:
         disk_hits: hits served by the on-disk tier.
         puts: entries stored.
         memory_evictions: LRU entries dropped to respect the byte cap.
-        disk_evictions: disk entries dropped to respect the byte cap.
         bytes_saved: payload bytes served from cache instead of being
             regenerated (the Σ of every hit's artifact size).
         n_memory_entries: entries currently in the LRU tier.
@@ -109,7 +108,6 @@ class CacheStats:
     disk_hits: int = 0
     puts: int = 0
     memory_evictions: int = 0
-    disk_evictions: int = 0
     bytes_saved: int = 0
     n_memory_entries: int = 0
     memory_bytes: int = 0
@@ -155,26 +153,18 @@ class ArtifactCache:
             recently used entries are evicted past it.  0 disables the
             memory tier (every hit then comes from disk).
         directory: on-disk tier location; None disables the disk tier.
-        max_disk_bytes: byte cap for the disk tier; oldest entries are
-            evicted past it.
     """
 
     def __init__(
         self,
         max_memory_bytes: int = 256 * 1024 * 1024,
         directory: str | Path | None = None,
-        max_disk_bytes: int = 1024 * 1024 * 1024,
     ) -> None:
         if max_memory_bytes < 0:
             raise ConfigurationError(
                 f"max_memory_bytes must be >= 0, got {max_memory_bytes}"
             )
-        if max_disk_bytes < 1:
-            raise ConfigurationError(
-                f"max_disk_bytes must be >= 1, got {max_disk_bytes}"
-            )
         self.max_memory_bytes = int(max_memory_bytes)
-        self.max_disk_bytes = int(max_disk_bytes)
         self.directory = Path(directory) if directory is not None else None
         self._lock = threading.RLock()
         self._memory: OrderedDict[str, CachedArtifact] = OrderedDict()
@@ -186,7 +176,6 @@ class ArtifactCache:
             "disk_hits": 0,
             "puts": 0,
             "memory_evictions": 0,
-            "disk_evictions": 0,
             "bytes_saved": 0,
         }
 
@@ -390,7 +379,6 @@ class ArtifactCache:
             payload_tmp.unlink(missing_ok=True)
             sidecar_tmp.unlink(missing_ok=True)
             raise
-        self._evict_disk()
 
     def _disk_read(self, key: str) -> CachedArtifact | None:
         if self.directory is None:
@@ -446,34 +434,17 @@ class ArtifactCache:
         self._payload_path(key).unlink(missing_ok=True)
         self._sidecar_path(key).unlink(missing_ok=True)
 
-    def _disk_entries(self) -> list[tuple[float, int, str]]:
-        """(mtime, bytes, key) per committed disk entry, oldest first."""
+    def _disk_usage(self) -> tuple[int, int]:
+        """(entries, payload + sidecar bytes) of the committed disk pairs."""
         if self.directory is None or not self.directory.is_dir():
-            return []
-        entries = []
+            return 0, 0
+        n_entries = total = 0
         for sidecar_path in self.directory.glob("*.json"):
-            key = sidecar_path.stem
-            payload_path = self._payload_path(key)
             try:
-                stat = payload_path.stat()
-                size = stat.st_size + sidecar_path.stat().st_size
+                size = self._payload_path(sidecar_path.stem).stat().st_size
+                size += sidecar_path.stat().st_size
             except OSError:
                 continue
-            entries.append((stat.st_mtime, size, key))
-        entries.sort()
-        return entries
-
-    def _disk_usage(self) -> tuple[int, int]:
-        entries = self._disk_entries()
-        return len(entries), sum(size for _, size, _ in entries)
-
-    def _evict_disk(self) -> None:
-        entries = self._disk_entries()
-        total = sum(size for _, size, _ in entries)
-        # Oldest-first, but the newest entry (just written) always stays.
-        for _, size, key in entries[:-1]:
-            if total <= self.max_disk_bytes:
-                break
-            self._drop_disk_entry(key)
-            total -= size
-            self._counts["disk_evictions"] += 1
+            n_entries += 1
+            total += size
+        return n_entries, total

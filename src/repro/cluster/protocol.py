@@ -106,6 +106,8 @@ class Channel:
             header = json.loads(self._recv_exactly(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ClusterError(f"{self.name}: undecodable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ClusterError(f"{self.name}: header is not a JSON object")
         n_blobs = _BLOB_COUNT.unpack(self._recv_exactly(_BLOB_COUNT.size))[0]
         blobs = []
         for _ in range(n_blobs):

@@ -169,7 +169,7 @@ class _NodeShardFn:
                 raise DagError(
                     f"artifact for node {name!r} (key {key[:12]}…) vanished "
                     f"from the cache between publication and use; raise the "
-                    f"cache's memory/disk caps or give it a directory"
+                    f"cache's memory cap or give it a directory"
                 )
             return artifact
         from repro.cluster.store import current_store
@@ -419,7 +419,7 @@ class DagScheduler:
             raise DagError(
                 f"artifact for node {name!r} (key {key[:12]}…) vanished from "
                 f"the cache between completion and use; raise the cache's "
-                f"memory/disk caps or give it a directory"
+                f"memory cap or give it a directory"
             )
         return artifact
 

@@ -26,9 +26,10 @@ Quick start (one process, in-code)::
         await server.drain(); await server.stop()
         return result
 
-Or from the command line: ``repro serve --port 7801`` and drive it with
-``tools/load_serve.py``.  See docs/SERVING.md for the protocol and the
-resume semantics.
+Or from the command line: ``repro serve --port 7801``;
+``tools/serve_smoke.py`` drives it end to end and ``python3
+perfbench/run.py --workload serve`` measures it under load.  See
+docs/SERVING.md for the protocol and the resume semantics.
 """
 
 from repro.serve.client import ClientResult, StreamClient

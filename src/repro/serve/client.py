@@ -8,14 +8,14 @@ from the ``resume_frame`` the server reports.  Output dedupe is by
 global frame index, so however many times the link breaks, the
 collected output is byte-identical to an uninterrupted run — the
 client-side half of the serve layer's resume contract, and what the
-load harness and the end-to-end tests assert with.
+end-to-end tests and ``tools/serve_smoke.py`` assert with.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +32,12 @@ class ClientResult:
         result: the server's final ``result`` payload (Ψ accounting).
         reconnects: times the client had to reconnect mid-stream.
         drained: times the server answered with a drain notice.
-        latencies_s: per frames-message round-trip times.
     """
 
     outputs: np.ndarray
     result: dict
     reconnects: int = 0
     drained: int = 0
-    latencies_s: list = field(default_factory=list)
 
 
 class _Drained(Exception):
@@ -90,7 +88,6 @@ class StreamClient:
         self._outputs: list[np.ndarray] = []
         self._out_count = 0
         self._result: dict | None = None
-        self._latencies: list[float] = []
         self._reconnects = 0
         self._drains = 0
 
@@ -161,7 +158,6 @@ class StreamClient:
                 welcome.get("outputs", ""),
             )
             total = self.frames.shape[0]
-            loop = asyncio.get_running_loop()
             while sent < total:
                 batch = self.frames[sent : sent + self.batch_frames]
                 message = {
@@ -169,11 +165,9 @@ class StreamClient:
                     "count": int(batch.shape[0]),
                     "data": encode_frames(batch),
                 }
-                t0 = loop.time()
                 writer.write(json.dumps(message).encode() + b"\n")
                 await writer.drain()
                 ack = await self._recv(reader)
-                self._latencies.append(loop.time() - t0)
                 if ack.get("type") != "ack":
                     raise ServeError(f"expected ack, got {ack.get('type')!r}")
                 self._absorb(
@@ -236,5 +230,4 @@ class StreamClient:
             result=self._result,
             reconnects=self._reconnects,
             drained=self._drains,
-            latencies_s=self._latencies,
         )

@@ -23,8 +23,7 @@ A drain signal is raced against every read: a draining connection gets
 ``{"type": "drained", "resume_frame": N}`` and a clean close, never a
 mid-message cut.  The optional :class:`~repro.serve.server.ChaosMonkey`
 aborts connections abruptly before or after a message is processed —
-the fault-injection hook the resume tests and the churn phase of the
-load harness rely on.
+the fault-injection hook the resume tests rely on.
 """
 
 from __future__ import annotations
@@ -126,7 +125,15 @@ class IngestHandler:
         attached = False
         try:
             while True:
-                line = await self._read_line_or_drain(reader)
+                try:
+                    line = await self._read_line_or_drain(reader)
+                except ValueError:  # the line overran the reader's limit
+                    await self._error(
+                        writer,
+                        "protocol",
+                        f"line longer than {MAX_LINE_BYTES} bytes",
+                    )
+                    break
                 if line is _DRAIN:
                     await self._send(
                         writer,
@@ -140,10 +147,13 @@ class IngestHandler:
                     break  # client closed
                 try:
                     message = json.loads(line)
-                    if not isinstance(message, dict):
-                        raise ServeError("message must be a JSON object")
                 except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                     await self._error(writer, "protocol", f"bad JSON line: {exc}")
+                    break
+                if not isinstance(message, dict):
+                    await self._error(
+                        writer, "protocol", "message must be a JSON object"
+                    )
                     break
                 kind = message.get("type")
                 try:
@@ -199,9 +209,11 @@ class IngestHandler:
         stream = message.get("stream")
         shape = message.get("shape")
         dtype = message.get("dtype")
-        have = int(message.get("have_outputs", 0))
+        have = message.get("have_outputs", 0)
         if not isinstance(tenant_name, str) or not isinstance(stream, str):
             raise ServeError("hello needs string 'tenant' and 'stream'")
+        if not isinstance(have, int) or have < 0:
+            raise ServeError("hello needs 'have_outputs' as an int >= 0")
         if not isinstance(shape, list) or not all(
             isinstance(s, int) and s > 0 for s in shape
         ):
@@ -212,6 +224,8 @@ class IngestHandler:
             np_dtype = np.dtype(dtype)
         except (TypeError, ValueError) as exc:
             raise ServeError(f"bad dtype {dtype!r}: {exc}") from None
+        if not np.issubdtype(np_dtype, np.number):
+            raise ServeError(f"dtype {dtype!r} is not numeric")
         session = self.sessions.acquire(tenant_name, stream, tuple(shape), np_dtype)
         try:
             resume_frame = await self.run_in_pool(session.open)

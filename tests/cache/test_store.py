@@ -3,7 +3,6 @@ atomic publication, corruption handling, and concurrent writers."""
 
 import json
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -103,8 +102,6 @@ class TestMemoryTier:
     def test_rejects_bad_budgets(self):
         with pytest.raises(ConfigurationError):
             ArtifactCache(max_memory_bytes=-1)
-        with pytest.raises(ConfigurationError):
-            ArtifactCache(max_disk_bytes=0)
 
 
 class TestDiskTier:
@@ -143,29 +140,6 @@ class TestDiskTier:
         for i in range(4):
             cache.put(f"k{i}", _artifact(fill=i))
         assert not [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
-
-    def test_size_cap_evicts_oldest_first(self, tmp_path):
-        probe = ArtifactCache(directory=tmp_path)
-        probe.put("probe", _artifact())
-        entry_disk_bytes = probe.stats().disk_bytes
-        probe.clear()
-
-        cache = ArtifactCache(
-            directory=tmp_path, max_disk_bytes=2 * entry_disk_bytes
-        )
-        for i, key in enumerate(("a", "b", "c")):
-            cache.put(key, _artifact(fill=i))
-            os.utime(tmp_path / f"{key}.npz", (i + 1, i + 1))
-        cache.put("d", _artifact(fill=9))
-        stats = cache.stats()
-        assert stats.disk_evictions >= 1
-        assert cache._disk_read("d") is not None  # newest always survives
-        assert cache._disk_read("a") is None  # oldest goes first
-
-    def test_tiny_cap_never_evicts_newest(self, tmp_path):
-        cache = ArtifactCache(directory=tmp_path, max_disk_bytes=1)
-        cache.put("only", _artifact())
-        assert ArtifactCache(directory=tmp_path).get("only") is not None
 
     def test_clear_removes_everything(self, tmp_path):
         cache = ArtifactCache(directory=tmp_path)

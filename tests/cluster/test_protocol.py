@@ -74,6 +74,15 @@ class TestChannel:
             b.recv()
         a.close(), b.close()
 
+    def test_non_object_header_rejected(self):
+        a, b = _channel_pair()
+        import struct
+
+        a.sock.sendall(struct.pack("!I", 2) + b"[]" + struct.pack("!I", 0))
+        with pytest.raises(ClusterError, match="not a JSON object"):
+            b.recv()
+        a.close(), b.close()
+
     def test_byte_counters_track_traffic(self):
         a, b = _channel_pair()
         a.send({"type": "x"}, (b"1234",))

@@ -323,14 +323,54 @@ class TestProtocolRefusals:
                 },
             )
             [orphan] = await _raw_request(port, {"type": "frames", "count": 0})
+            bad_fields = []
+            for field in (
+                {"have_outputs": "x"},
+                {"have_outputs": None},
+                {"have_outputs": -1},
+                {"dtype": "O"},
+            ):
+                hello = {
+                    "type": "hello", "tenant": TENANT.name, "stream": "s",
+                    "shape": [2], "dtype": "<u2", **field,
+                }
+                bad_fields += await _raw_request(port, hello)
             await server.drain()
             await server.stop()
-            return unknown, bad_shape, orphan
+            return unknown, bad_shape, orphan, bad_fields
 
-        unknown, bad_shape, orphan = asyncio.run(scenario())
+        unknown, bad_shape, orphan, bad_fields = asyncio.run(scenario())
         assert unknown["code"] == "refused"
         assert bad_shape["code"] == "refused"
         assert orphan["code"] == "refused"
+        assert [reply["code"] for reply in bad_fields] == ["refused"] * 4
+
+    def test_non_object_and_oversized_lines(self, tmp_path):
+        from repro.serve.listener import MAX_LINE_BYTES
+
+        async def send_raw(port, payload):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(payload)
+                await writer.drain()
+                return json.loads(await reader.readline())
+            finally:
+                writer.close()
+
+        async def scenario():
+            server = await _start_server(tmp_path)
+            port = server.ingest_port
+            not_object = await send_raw(port, b"[]\n")
+            # One byte past the limit and no newline: the server consumes
+            # every byte before it overruns, so its close is orderly.
+            oversized = await send_raw(port, b"x" * (MAX_LINE_BYTES + 1))
+            await server.drain()
+            await server.stop()
+            return not_object, oversized
+
+        not_object, oversized = asyncio.run(scenario())
+        assert not_object["type"] == oversized["type"] == "error"
+        assert not_object["code"] == oversized["code"] == "protocol"
 
     def test_detach_parks_and_reattach_continues(self, tmp_path):
         async def scenario():
